@@ -45,7 +45,6 @@ from .composition import (
     validate_table,
 )
 from .errors import CodaError
-from .fixture import synthetic_csv, synthetic_table, write_synthetic_csv
 from .ingest import (
     DEFAULT_PART_SCHEMA,
     IngestConfig,
@@ -74,6 +73,19 @@ from .stats import (
 )
 
 __version__ = "0.1.0"
+
+#: names served from .fixture on first access; importing it eagerly would put
+#: coda_atlas.fixture in sys.modules before ``python -m coda_atlas.fixture``
+#: runs it, which makes runpy warn
+_FIXTURE_NAMES = ("synthetic_csv", "synthetic_table", "write_synthetic_csv")
+
+
+def __getattr__(name: str):
+    if name in _FIXTURE_NAMES:
+        from . import fixture
+
+        return getattr(fixture, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineTransform",

@@ -10,12 +10,20 @@ the lexicographically smallest (min entity id, max entity id) merges first,
 and a merged cluster keeps the smaller of the two ids. The cut is either a
 target cluster count, a distance threshold, or (default) a threshold placed
 at the largest relative gap between consecutive merge distances.
+
+Cost: distances are computed in blocks of rows, so besides the n x n
+result only a block x n x D difference tensor is held. The merge is the
+generic nearest-neighbour algorithm of Muellner (arXiv:1109.2378) on the
+Lance-Williams updates: one n x n float64 working matrix (8 n^2 bytes, on
+top of the input matrix) and each row's nearest neighbour, so a step does
+O(n) vectorised work plus a rescan of the rows whose neighbour took part in
+the merge. That is about O(n^2) time in practice and O(n^3) at worst; on a
+2-vCPU x86 VM the merge takes about 0.03 s at n=400 and 0.7 s at n=3000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +44,10 @@ from .errors import (
 )
 
 LINKAGES = ("single", "complete", "average")
+
+#: rows of the distance matrix computed at once; bounds the difference
+#: tensor at _DISTANCE_BLOCK_ROWS * n * D floats instead of n * n * D
+_DISTANCE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,50 +123,86 @@ def distance_matrix(clr: ClrMatrix) -> DistanceMatrix:
     if clr.n < 2:
         raise TooFewRows(f"distance matrix needs n >= 2, got {clr.n}")
     c = clr.values
-    diff = c[:, None, :] - c[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    d = np.empty((clr.n, clr.n), dtype=c.dtype)
+    for start in range(0, clr.n, _DISTANCE_BLOCK_ROWS):
+        stop = start + _DISTANCE_BLOCK_ROWS
+        diff = c[start:stop, None, :] - c[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.sum(diff, axis=-1), out=d[start:stop])
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(ids=clr.entity_ids, values=d)
+
+
+def _nearest_above(d: np.ndarray, active: np.ndarray, i: int) -> tuple[int, float]:
+    """Nearest active column j > i of row i, first index on ties; (-1, inf) if none.
+
+    Retired columns hold inf, so a row whose live distances are all inf
+    falls back to its first live column.
+    """
+    row = d[i, i + 1:]
+    k = int(np.argmin(row))
+    if row[k] == np.inf:
+        live = np.flatnonzero(active[i + 1:])
+        if live.size == 0:
+            return -1, np.inf
+        k = int(live[0])
+    return i + 1 + k, float(row[k])
 
 
 def _merge_sequence(dist: DistanceMatrix, linkage: str):
     """Run all n-1 merges; returns [(id_a, id_b, distance)] in merge order.
 
-    Cluster-pair distances are maintained with the Lance-Williams updates
-    for the three supported linkages, keyed by entity ids, so the outcome
-    does not depend on the input row order.
+    Cluster-pair distances live in one dense working matrix in sorted-id
+    order, so the outcome does not depend on the input row order, and are
+    maintained with the Lance-Williams updates for the three supported
+    linkages. Each live row i keeps its nearest live column j > i (first
+    index on ties); the merge takes the row with the smallest such distance
+    (first index on ties), which is the (distance, min id, max id) rule.
+    Row 0 is never retired, so when every live distance is inf the argmin
+    still lands on a live row. After merging b into a, only row a (whose
+    neighbour was b), the rows whose neighbour was a or b, and the entries
+    d[i, a] of the other rows i < a can move a neighbour.
     """
     ids = sorted(dist.ids)
+    n = len(ids)
     index = {eid: k for k, eid in enumerate(dist.ids)}
-    sizes = {eid: 1 for eid in ids}
-    d: dict[tuple[str, str], float] = {}
-    for a, b in combinations(ids, 2):
-        d[(a, b)] = float(dist.values[index[a], index[b]])
+    order = np.array([index[eid] for eid in ids], dtype=np.intp)
+    d = np.asarray(dist.values, dtype=np.float64)[np.ix_(order, order)]
+    active = np.ones(n, dtype=bool)
+    nn = np.full(n, -1, dtype=np.intp)
+    nd = np.full(n, np.inf)
+    for i in range(n - 1):
+        d[i + 1:, i] = d[i, i + 1:]
+        nn[i], nd[i] = _nearest_above(d, active, i)
+    sizes = [1] * n
 
-    active = list(ids)
     history: list[tuple[str, str, float]] = []
-    while len(active) > 1:
-        best = None
-        for a, b in combinations(active, 2):
-            cand = (d[(a, b)], a, b)
-            if best is None or cand < best:
-                best = cand
-        dd, a, b = best
-        history.append((a, b, dd))
-        for c in active:
-            if c in (a, b):
-                continue
-            dac = d[tuple(sorted((a, c)))]
-            dbc = d[tuple(sorted((b, c)))]
-            if linkage == "single":
-                dn = min(dac, dbc)
-            elif linkage == "complete":
-                dn = max(dac, dbc)
-            else:
-                dn = (sizes[a] * dac + sizes[b] * dbc) / (sizes[a] + sizes[b])
-            d[tuple(sorted((a, c)))] = dn
+    for _ in range(n - 1):
+        a = int(np.argmin(nd))
+        b = int(nn[a])
+        history.append((ids[a], ids[b], float(nd[a])))
+        da, db = d[a], d[b]
+        if linkage == "single":
+            merged = np.where(db < da, db, da)
+        elif linkage == "complete":
+            merged = np.where(db > da, db, da)
+        else:
+            merged = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
         sizes[a] += sizes[b]
-        active.remove(b)
+        d[a] = merged
+        d[:, a] = merged
+        d[:, b] = np.inf
+        active[b] = False
+
+        stale = (nn == a) | (nn == b)
+        nn[b], nd[b] = -1, np.inf
+        rows = np.flatnonzero(active[:a] & ~stale[:a])
+        col = d[rows, a]
+        closer = (col < nd[rows]) | ((col == nd[rows]) & (a < nn[rows]))
+        nn[rows[closer]] = a
+        nd[rows[closer]] = col[closer]
+        for i in np.flatnonzero(stale):
+            nn[i], nd[i] = _nearest_above(d, active, int(i))
     return history
 
 

@@ -283,8 +283,9 @@ def replace_zeros(raw_values, strategy: str = "reject", delta: float = 0.65) -> 
     by ``1 - z_r * delta * min_positive / row_sum`` (z_r = zero count), which
     preserves the row sum. Negative cells are rejected under either strategy.
 
-    Raises DegenerateRow for an all-zero row, or when a row has too many
-    zeros for the chosen delta to leave the rescaled cells positive.
+    Raises DegenerateRow for an all-zero row, when a row has too many
+    zeros for the chosen delta to leave the rescaled cells positive, or when
+    the replacement or a rescaled cell underflows to zero.
     """
     values = np.array(raw_values, dtype=float, copy=True)
     if values.ndim != 2:
@@ -319,7 +320,10 @@ def replace_zeros(raw_values, strategy: str = "reject", delta: float = 0.65) -> 
         factor = 1.0 - z * repl / row_sum
         if factor <= 0.0:
             raise DegenerateRow(r, reason=f"too many zeros for delta={delta}")
-        values[r, ~zeros] = positive * factor
+        rescaled = positive * factor
+        if repl == 0.0 or not rescaled.all():
+            raise DegenerateRow(r, reason="replacement underflows to zero")
+        values[r, ~zeros] = rescaled
         values[r, zeros] = repl
     return values
 

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -43,6 +44,12 @@ from .errors import (
 )
 
 LOCALES = ("point_decimal", "eu")
+
+#: EU cell grammar: ASCII digits, a dot only between groups of three
+#: integer digits, an optional decimal comma, sign and exponent
+_EU_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]{1,3}(?:\.[0-9]{3})+|[0-9]+)(?:,[0-9]*)?|,[0-9]+)(?:[eE][+-]?[0-9]+)?"
+)
 
 #: canonical unit → role used when a part is absent from the schema
 _ROLE_FOR_UNIT = {
@@ -258,25 +265,32 @@ class IngestConfig:
         return cls(**kwargs)
 
 
-def _parse_number(token: str, locale: str, line: int, column: int) -> float:
-    text = token.strip()
+def _parse_number(text: str, locale: str, line: int, column: int) -> float:
+    """One cell, already stripped, under the locale's strict number grammar."""
     if not text:
-        raise ParseError(line=line, column=column, token=token, reason="empty cell")
+        raise ParseError(line=line, column=column, token=text, reason="empty cell")
     if locale == "point_decimal":
         if "," in text:
             raise ParseError(
-                line=line, column=column, token=token,
+                line=line, column=column, token=text,
                 reason="comma in point-decimal locale",
             )
-        normalized = text
+        # float() also takes "_" digit separators, inf/infinity/nan (every
+        # spelling has an n) and non-ASCII digits; none is a number here
+        strict = text.isascii() and "_" not in text and "n" not in text and "N" not in text
+        number = text
     else:
-        normalized = text.replace(".", "").replace(",", ".")
-    try:
-        return float(normalized)
-    except ValueError:
-        raise ParseError(
-            line=line, column=column, token=token, reason="not a number"
-        ) from None
+        strict = _EU_NUMBER.fullmatch(text) is not None
+        number = text.replace(".", "").replace(",", ".")
+    if strict:
+        try:
+            return float(number)
+        except ValueError:
+            pass
+    raise ParseError(
+        line=line, column=column, token=text,
+        reason=f"not a number in the {locale} locale",
+    )
 
 
 def parse_table(data: bytes | str, config: IngestConfig | None = None) -> IndicatorTable:

@@ -9,11 +9,17 @@ These deliberately avoid the library calls they are checking:
   directly from table values, used to verify biplot projection rankings.
 * ``linear_quantile`` re-implements the interpolated quantile definition
   with plain Python.
+* ``lance_williams_merges`` is the cubic pure-Python agglomeration that
+  rescans every active pair at each merge; the production merge must
+  reproduce its history exactly, floats and tie-breaks included.
+* ``full_tensor_distances`` forms the whole n x n x D difference tensor
+  that the row-blocked ``distance_matrix`` avoids.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -101,3 +107,52 @@ def linear_quantile(values, p: float) -> float:
         return ordered[lo]
     frac = pos - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def lance_williams_merges(dist, linkage: str):
+    """All n-1 merges [(id_a, id_b, distance)] by exhaustive pair scans.
+
+    Cluster distances are kept in a dict keyed by sorted id pairs and
+    updated with the Lance-Williams formulas; each step takes the smallest
+    (distance, min id, max id) over all active pairs.
+    """
+    ids = sorted(dist.ids)
+    index = {eid: k for k, eid in enumerate(dist.ids)}
+    sizes = {eid: 1 for eid in ids}
+    d: dict[tuple[str, str], float] = {}
+    for a, b in combinations(ids, 2):
+        d[(a, b)] = float(dist.values[index[a], index[b]])
+
+    active = list(ids)
+    history: list[tuple[str, str, float]] = []
+    while len(active) > 1:
+        best = None
+        for a, b in combinations(active, 2):
+            cand = (d[(a, b)], a, b)
+            if best is None or cand < best:
+                best = cand
+        dd, a, b = best
+        history.append((a, b, dd))
+        for c in active:
+            if c in (a, b):
+                continue
+            dac = d[tuple(sorted((a, c)))]
+            dbc = d[tuple(sorted((b, c)))]
+            if linkage == "single":
+                dn = min(dac, dbc)
+            elif linkage == "complete":
+                dn = max(dac, dbc)
+            else:
+                dn = (sizes[a] * dac + sizes[b] * dbc) / (sizes[a] + sizes[b])
+            d[tuple(sorted((a, c)))] = dn
+        sizes[a] += sizes[b]
+        active.remove(b)
+    return history
+
+
+def full_tensor_distances(c) -> np.ndarray:
+    """Euclidean distances between the rows of c via one n x n x D tensor."""
+    diff = c[:, None, :] - c[None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.fill_diagonal(d, 0.0)
+    return d

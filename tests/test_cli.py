@@ -291,3 +291,14 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "valid: 17 entities x 8 parts" in result.stdout
+
+    def test_fixture_module_runs_without_runpy_warning(self, tmp_path):
+        out = tmp_path / "fixture.csv"
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "coda_atlas.fixture", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert out.read_text() == synthetic_csv()

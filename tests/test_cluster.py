@@ -14,7 +14,13 @@ from coda_atlas import (
     distance_matrix,
     hierarchical_cluster,
 )
-from coda_atlas.cluster import assignment_csv, merge_history_json, profiles_json
+from coda_atlas.cluster import (
+    _DISTANCE_BLOCK_ROWS,
+    LINKAGES,
+    assignment_csv,
+    merge_history_json,
+    profiles_json,
+)
 from coda_atlas.errors import (
     DimensionMismatch,
     InfeasibleCut,
@@ -24,6 +30,7 @@ from coda_atlas.errors import (
 )
 
 from conftest import make_table, random_table
+from oracles import full_tensor_distances, lance_williams_merges
 
 #: two tight triples far apart in Aitchison geometry (inter/intra >= 10)
 TWO_TRIPLE_ROWS = [
@@ -48,6 +55,21 @@ def euclidean_metric(rng, n, dim=3):
     d = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     ids = tuple(f"p{k:02d}" for k in range(n))
+    return DistanceMatrix(ids=ids, values=d)
+
+
+def integer_grid_metric(rng, n, far=None):
+    """Distances between integer grid points, ids shuffled against row order.
+
+    Few distinct distances and duplicate points make exact ties everywhere;
+    with far set, distances above it become inf.
+    """
+    pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    if far is not None:
+        d[d > far] = np.inf
+    ids = tuple(f"q{k:02d}" for k in rng.permutation(n))
     return DistanceMatrix(ids=ids, values=d)
 
 
@@ -109,6 +131,17 @@ class TestDistanceMatrix:
         n = d.shape[0]
         for a, b, c in itertools.combinations(range(n), 3):
             assert d[a, c] <= d[a, b] + d[b, c] + 1e-9
+
+    @pytest.mark.parametrize(
+        "n",
+        [_DISTANCE_BLOCK_ROWS - 1, _DISTANCE_BLOCK_ROWS, _DISTANCE_BLOCK_ROWS + 1,
+         2 * _DISTANCE_BLOCK_ROWS + 1],
+    )
+    def test_row_blocks_equal_full_tensor(self, rng, n):
+        for D in (3, 8, 32):
+            clr = clr_matrix(random_table(rng, n, D))
+            got = distance_matrix(clr).values
+            assert np.array_equal(got, full_tensor_distances(clr.values))
 
     def test_needs_two_rows(self):
         with pytest.raises(TooFewRows):
@@ -181,6 +214,27 @@ class TestHierarchicalCluster:
                 assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected]
                 for (_, _, dg), (_, _, de) in zip(got, expected):
                     assert dg == pytest.approx(de, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_tie_free_metrics_match_oracle_exactly(self, rng, linkage):
+        for n in (2, 3, 5, 17, 60):
+            dist = euclidean_metric(rng, n)
+            got = hierarchical_cluster(dist, linkage=linkage).merge_history
+            assert got == tuple(lance_williams_merges(dist, linkage))
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_tie_heavy_grids_match_oracle_exactly(self, rng, linkage):
+        for _ in range(150):
+            dist = integer_grid_metric(rng, int(rng.integers(2, 30)))
+            got = hierarchical_cluster(dist, linkage=linkage).merge_history
+            assert got == tuple(lance_williams_merges(dist, linkage))
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_infinite_distances_match_oracle_exactly(self, rng, linkage):
+        for _ in range(40):
+            dist = integer_grid_metric(rng, int(rng.integers(2, 20)), far=1.5)
+            got = hierarchical_cluster(dist, linkage=linkage).merge_history
+            assert got == tuple(lance_williams_merges(dist, linkage))
 
     def test_equidistant_tie_break_is_lexicographic(self):
         values = np.ones((4, 4)) - np.eye(4)

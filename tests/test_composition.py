@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coda_atlas import (
@@ -268,6 +268,7 @@ class TestReplaceZeros:
         st.floats(min_value=0.01, max_value=1.0),
     )
     @settings(max_examples=200)
+    @example(row=[0.0, 5e-324], delta=0.5)
     def test_output_always_positive_or_degenerate(self, row, delta):
         try:
             out = replace_zeros([row], strategy="multiplicative", delta=delta)

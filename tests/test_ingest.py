@@ -60,6 +60,38 @@ class TestNumberLocales:
         assert table.values[0, 0] == 1035.5
         assert table.values[0, 1] == 12.5
 
+    @pytest.mark.parametrize("token", ["1.5", "1.50", "12.3456", ".5", "1.", "1,2,3", "1.000.5"])
+    def test_eu_dot_must_group_thousands(self, token):
+        config = IngestConfig(locale="eu")
+        with pytest.raises(ParseError) as err:
+            parse_table(csv_doc(f'e1,One,1011,2,"{token}"'), config)
+        assert (err.value.line, err.value.column, err.value.token) == (2, 5, token)
+
+    @pytest.mark.parametrize(
+        "token", ["1_000", "inf", "-Infinity", "nan", "NaN", "\u0661\u0662", "1e", "e5"]
+    )
+    def test_point_decimal_rejects_what_float_alone_accepts(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_table(csv_doc(f"e1,One,1011,2,{token}"))
+        assert (err.value.line, err.value.column, err.value.token) == (2, 5, token)
+
+    @pytest.mark.parametrize(
+        "locale, token, expected",
+        [
+            ("point_decimal", "+2", 2.0),
+            ("point_decimal", ".5", 0.5),
+            ("point_decimal", "5.", 5.0),
+            ("point_decimal", "1e-05", 1e-05),
+            ("point_decimal", "1.0000000000000001e+20", 1.0000000000000001e20),
+            ("eu", "1.000.000", 1e6),
+            ("eu", ",5", 0.5),
+            ("eu", "1.234,5e3", 1234.5e3),
+        ],
+    )
+    def test_strict_grammars_keep_plain_forms(self, locale, token, expected):
+        table = parse_table(csv_doc(f'e1,One,1011,2,"{token}"'), IngestConfig(locale=locale))
+        assert table.values[0, 1] == expected
+
 
 class TestUnitRegistry:
     def test_canonical_units_resolve_to_identity(self):
