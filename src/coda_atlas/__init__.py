@@ -42,6 +42,7 @@ from .composition import (
     named_ratio,
     pairwise_log_ratio,
     replace_zeros,
+    resolvable_ratios,
     validate_table,
 )
 from .errors import CodaError
@@ -131,6 +132,7 @@ __all__ = [
     "reconstruct",
     "render_biplot",
     "replace_zeros",
+    "resolvable_ratios",
     "scale_to_viewport",
     "sector_colors",
     "serialize_table",

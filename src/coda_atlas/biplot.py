@@ -110,17 +110,23 @@ def center_columns(clr: ClrMatrix) -> tuple[np.ndarray, np.ndarray]:
     return clr.values - means, means
 
 
+def _centered_svd(clr: ClrMatrix, compute_uv: bool = True):
+    """(centered, column_means, thin SVD of centered); LAPACK failure is SvdFailure."""
+    centered, means = center_columns(clr)
+    try:
+        svd = np.linalg.svd(centered, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise SvdFailure(str(exc)) from exc
+    return centered, means, svd
+
+
 def singular_spectrum(clr: ClrMatrix) -> np.ndarray:
     """All thin-SVD singular values of the centred CLR matrix (length min(n, D)).
 
     The production decomposition behind :func:`fit_biplot`, exposed for
     diagnostics; the trailing values past min(n-1, D-1) are structural zeros.
     """
-    centered, _ = center_columns(clr)
-    try:
-        return np.linalg.svd(centered, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SvdFailure(str(exc)) from exc
+    return _centered_svd(clr, compute_uv=False)[2]
 
 
 def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
@@ -149,12 +155,7 @@ def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
     if not 1 <= k <= m:
         raise RankRequestTooLarge(f"k={k} not in [1, min(n-1, D-1)={m}]")
 
-    centered, column_means = center_columns(clr)
-    try:
-        u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SvdFailure(str(exc)) from exc
-
+    centered, column_means, (u, s, vt) = _centered_svd(clr)
     if s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(clr.values))):
         raise DegenerateVariance("all rows carry the same composition")
 

@@ -5,6 +5,12 @@ biplot, rank, cluster, render, and pipeline (which runs everything and
 writes a hash manifest). All domain failures exit with code 1 and print a
 single-line machine-parseable record (ErrorName:detail) to stderr; usage
 errors exit with code 2.
+
+Every subcommand reads one staged run, ``_Analysis``, whose stages (config
+-> table -> clr -> model -> links) are built on first use and then kept. A
+subcommand is a function from the run to ``{file name: content}``, and
+``pipeline`` is their union plus the manifest, so each artifact is built by
+one piece of code and equals ``pipeline``'s file of the same name.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cached_property
 
 from .biplot import fit_biplot, make_link, model_to_json, rank_along_link, ranking_csv
 from .cluster import (
@@ -22,192 +29,141 @@ from .cluster import (
     merge_history_json,
     profiles_json,
 )
-from .composition import IndicatorTable, clr_matrix
-from .errors import CodaError, InvalidOptions, IoFailure, UnknownPart, UnknownRatio
+from .composition import clr_matrix, resolvable_ratios
+from .errors import CodaError, InvalidOptions, IoFailure, UnknownRatio
 from ._fmt import dumps_json
-from .ingest import (
-    IngestConfig,
-    clr_csv,
-    parse_table,
-    serialize_table,
-    write_reports,
-)
+from .ingest import IngestConfig, clr_csv, parse_table, serialize_table, write_reports
 from .render import RenderOptions, render_biplot
 from .stats import describe_csv, pathology_json, pathology_report, summarize_table
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="indicator table CSV")
-    parser.add_argument("--config", help="ingest config JSON file")
-    parser.add_argument("-o", "--out", default=".", help="output directory")
-
-
-def _load(args) -> tuple[IndicatorTable, IngestConfig]:
-    if args.config:
-        with open(args.config, "rb") as handle:
-            config = IngestConfig.from_json(handle.read())
-    else:
-        config = IngestConfig()
-    with open(args.input, "rb") as handle:
-        table = parse_table(handle.read(), config)
-    return table, config
+#: stage settings as ``pipeline`` runs them, the defaults of every flag that
+#: declares none; ratio=None ranks, and links=None draws, every resolvable link
+_STAGE_DEFAULTS = dict(
+    alpha=1.0, rank=2, ratio=None, linkage="complete", clusters=None,
+    threshold=None, links=None, width=800, height=600,
+)
 
 
-def _write(args, name: str, content: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
-    return path
+class _Analysis:
+    """The stages of one run over the parsed arguments, each built once."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+
+    @cached_property
+    def config(self):
+        if not self.args.config:
+            return IngestConfig()
+        with open(self.args.config, "rb") as handle:
+            return IngestConfig.from_json(handle.read())
+
+    @cached_property
+    def table(self):
+        config = self.config
+        with open(self.args.input, "rb") as handle:
+            return parse_table(handle.read(), config)
+
+    @cached_property
+    def clr(self):
+        return clr_matrix(self.table)
+
+    @cached_property
+    def model(self):
+        return fit_biplot(self.clr, alpha=self.args.alpha, k=self.args.rank)
+
+    @cached_property
+    def links(self):
+        """Links of the catalog ratios that resolve, without degenerate ones."""
+        ratios = resolvable_ratios(self.table, self.config.ratio_catalog)
+        found = (self.link(definition.name) for definition in ratios)
+        return tuple(link for link in found if not link.degenerate)
+
+    def link(self, name: str):
+        """The link of catalog ratio ``name``."""
+        table = self.table
+        by_name = {r.name: r for r in self.config.ratio_catalog}
+        if name not in by_name:
+            raise UnknownRatio(name)
+        model = self.model
+        i, j = by_name[name].resolve(table)
+        return make_link(model, i, j, label=name)
 
 
-def _fit(table: IndicatorTable, alpha: float = 1.0, k: int = 2):
-    return fit_biplot(clr_matrix(table), alpha=alpha, k=k)
-
-
-def _cmd_validate(args) -> int:
-    table, _ = _load(args)
-    sectors = sorted({e.sector_code for e in table.entities})
+def _validate(run: _Analysis) -> dict[str, str]:
+    table = run.table
     print(f"valid: {table.n} entities x {table.D} parts")
-    print(f"sectors: {', '.join(sectors)}")
+    print(f"sectors: {', '.join(sorted({e.sector_code for e in table.entities}))}")
     for part in table.parts:
         print(f"part: {part.name} [{part.unit}, {part.role}]")
-    return 0
+    return {}
 
 
-def _cmd_describe(args) -> int:
-    table, config = _load(args)
-    summaries = summarize_table(table, config.ratio_catalog)
-    print(_write(args, "describe.csv", describe_csv(summaries)))
-    return 0
+def _describe(run: _Analysis) -> dict[str, str]:
+    summaries = summarize_table(run.table, run.config.ratio_catalog)
+    return {"describe.csv": describe_csv(summaries)}
 
 
-def _cmd_diagnose(args) -> int:
-    table, config = _load(args)
-    report = pathology_report(table, config.ratio_catalog)
-    print(_write(args, "pathology.json", dumps_json(pathology_json(report))))
-    return 0
+def _diagnose(run: _Analysis) -> dict[str, str]:
+    report = pathology_report(run.table, run.config.ratio_catalog)
+    return {"pathology.json": dumps_json(pathology_json(report))}
 
 
-def _cmd_clr(args) -> int:
-    table, _ = _load(args)
-    print(_write(args, "clr.csv", clr_csv(clr_matrix(table))))
-    return 0
+def _clr(run: _Analysis) -> dict[str, str]:
+    return {"clr.csv": clr_csv(run.clr)}
 
 
-def _cmd_biplot(args) -> int:
-    table, _ = _load(args)
-    model = _fit(table, alpha=args.alpha, k=args.rank)
-    print(_write(args, "model.json", model_to_json(model)))
-    return 0
+def _biplot(run: _Analysis) -> dict[str, str]:
+    return {"model.json": model_to_json(run.model)}
 
 
-def _cmd_rank(args) -> int:
-    table, config = _load(args)
-    by_name = {r.name: r for r in config.ratio_catalog}
-    if args.ratio not in by_name:
-        raise UnknownRatio(args.ratio)
-    definition = by_name[args.ratio]
-    model = _fit(table)
-    i, j = definition.resolve(table)
-    result = rank_along_link(model, make_link(model, i, j, label=definition.name))
-    print(_write(args, f"rankings_{definition.name}.csv", ranking_csv(result)))
-    return 0
+def _rank(run: _Analysis) -> dict[str, str]:
+    links = run.links if run.args.ratio is None else (run.link(run.args.ratio),)
+    return {
+        f"rankings_{link.label}.csv": ranking_csv(rank_along_link(run.model, link))
+        for link in links
+    }
 
 
-def _cmd_cluster(args) -> int:
+def _cluster(run: _Analysis) -> dict[str, str]:
+    args = run.args
     if args.clusters is not None and args.threshold is not None:
         raise InvalidOptions("--clusters and --threshold are mutually exclusive")
-    table, _ = _load(args)
-    dist = distance_matrix(clr_matrix(table))
     assignment = hierarchical_cluster(
-        dist,
+        distance_matrix(run.clr),
         linkage=args.linkage,
         n_clusters=args.clusters,
         threshold=args.threshold,
     )
-    profiles = cluster_profile(table, assignment)
-    print(_write(args, "clusters.csv", assignment_csv(assignment)))
-    print(_write(args, "merges.json", dumps_json(merge_history_json(assignment))))
-    print(
-        _write(
-            args,
-            "cluster_profiles.json",
-            dumps_json(profiles_json(profiles, table.part_names)),
-        )
-    )
-    return 0
+    ratios = resolvable_ratios(run.table, run.config.ratio_catalog)
+    profiles = cluster_profile(run.table, assignment, ratios)
+    return {
+        "clusters.csv": assignment_csv(assignment),
+        "merges.json": dumps_json(merge_history_json(assignment)),
+        "cluster_profiles.json": dumps_json(profiles_json(profiles, run.table.part_names)),
+    }
 
 
-def _split_links(raw: str | None) -> tuple[str, ...]:
-    if not raw:
-        return ()
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
-
-
-def _cmd_render(args) -> int:
-    table, config = _load(args)
-    model = _fit(table)
+def _render(run: _Analysis) -> dict[str, str]:
+    model, args = run.model, run.args
+    if args.links is None:
+        show = tuple(link.label for link in run.links)
+    else:
+        show = tuple(name.strip() for name in args.links.split(",") if name.strip())
     options = RenderOptions(
         width=args.width,
         height=args.height,
-        show_links=_split_links(args.links),
-        ratio_catalog=config.ratio_catalog,
+        show_links=show,
+        ratio_catalog=run.config.ratio_catalog,
     )
-    print(_write(args, "biplot.svg", render_biplot(model, table, options)))
-    return 0
+    return {"biplot.svg": render_biplot(model, run.table, options)}
 
 
-def _resolvable_links(table: IndicatorTable, config: IngestConfig, model):
-    names = []
-    for definition in config.ratio_catalog:
-        try:
-            i, j = definition.resolve(table)
-        except UnknownPart:
-            continue
-        if not make_link(model, i, j, label=definition.name).degenerate:
-            names.append(definition.name)
-    return tuple(names)
-
-
-def _cmd_pipeline(args) -> int:
-    table, config = _load(args)
-    clr = clr_matrix(table)
-    model = fit_biplot(clr, alpha=1.0, k=2)
-
-    outputs: dict[str, str] = {}
-    outputs["table.csv"] = serialize_table(table)
-    outputs["describe.csv"] = describe_csv(summarize_table(table, config.ratio_catalog))
-    outputs["pathology.json"] = dumps_json(
-        pathology_json(pathology_report(table, config.ratio_catalog))
-    )
-    outputs["clr.csv"] = clr_csv(clr)
-    outputs["model.json"] = model_to_json(model)
-
-    link_names = _resolvable_links(table, config, model)
-    by_name = {r.name: r for r in config.ratio_catalog}
-    for name in link_names:
-        definition = by_name[name]
-        i, j = definition.resolve(table)
-        result = rank_along_link(model, make_link(model, i, j, label=name))
-        outputs[f"rankings_{name}.csv"] = ranking_csv(result)
-
-    dist = distance_matrix(clr)
-    assignment = hierarchical_cluster(dist, linkage="complete")
-    outputs["clusters.csv"] = assignment_csv(assignment)
-    outputs["merges.json"] = dumps_json(merge_history_json(assignment))
-    outputs["cluster_profiles.json"] = dumps_json(
-        profiles_json(cluster_profile(table, assignment), table.part_names)
-    )
-
-    options = RenderOptions(show_links=link_names, ratio_catalog=config.ratio_catalog)
-    outputs["biplot.svg"] = render_biplot(model, table, options)
-
-    manifest = write_reports(outputs, args.out)
-    for entry in manifest["files"]:
-        print(os.path.join(args.out, entry["name"]))
-    print(os.path.join(args.out, "manifest.json"))
-    return 0
+def _pipeline(run: _Analysis) -> dict[str, str]:
+    outputs = {"table.csv": serialize_table(run.table)}
+    # model first: a failed fit is reported before any report's own error
+    for build in (_biplot, _describe, _diagnose, _clr, _rank, _cluster, _render):
+        outputs.update(build(run))
+    return outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,53 +173,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate a table")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_validate)
+    def add(name, build, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input", help="indicator table CSV")
+        p.add_argument("--config", help="ingest config JSON file")
+        p.add_argument("-o", "--out", default=".", help="output directory")
+        p.set_defaults(build=build, **_STAGE_DEFAULTS)
+        return p
 
-    p = sub.add_parser("describe", help="write summary statistics CSV")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_describe)
+    add("validate", _validate, "parse and validate a table")
+    add("describe", _describe, "write summary statistics CSV")
+    add("diagnose", _diagnose, "write raw-vs-log pathology JSON")
+    add("clr", _clr, "write the CLR matrix CSV")
 
-    p = sub.add_parser("diagnose", help="write raw-vs-log pathology JSON")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_diagnose)
+    p = add("biplot", _biplot, "fit a biplot and write model JSON")
+    p.add_argument("--alpha", type=float, help="scaling exponent in [0,1]")
+    p.add_argument("--rank", type=int, help="number of components")
 
-    p = sub.add_parser("clr", help="write the CLR matrix CSV")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_clr)
-
-    p = sub.add_parser("biplot", help="fit a biplot and write model JSON")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, default=1.0, help="scaling exponent in [0,1]")
-    p.add_argument("--rank", type=int, default=2, help="number of components")
-    p.set_defaults(handler=_cmd_biplot)
-
-    p = sub.add_parser("rank", help="rank entities along a ratio link")
-    _add_common(p)
+    p = add("rank", _rank, "rank entities along a ratio link")
     p.add_argument("--ratio", required=True, help="catalog ratio name")
-    p.set_defaults(handler=_cmd_rank)
 
-    p = sub.add_parser("cluster", help="agglomerative clustering on Aitchison distance")
-    _add_common(p)
-    p.add_argument(
-        "--linkage", default="complete", choices=("single", "complete", "average")
-    )
-    p.add_argument("--clusters", type=int, default=None, help="cut at this cluster count")
-    p.add_argument("--threshold", type=float, default=None, help="cut at this distance")
-    p.set_defaults(handler=_cmd_cluster)
+    p = add("cluster", _cluster, "agglomerative clustering on Aitchison distance")
+    p.add_argument("--linkage", choices=("single", "complete", "average"))
+    p.add_argument("--clusters", type=int, help="cut at this cluster count")
+    p.add_argument("--threshold", type=float, help="cut at this distance")
 
-    p = sub.add_parser("render", help="render the biplot SVG")
-    _add_common(p)
+    p = add("render", _render, "render the biplot SVG")
     p.add_argument("--links", default="", help="comma-separated ratio names to draw")
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=600)
-    p.set_defaults(handler=_cmd_render)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
 
-    p = sub.add_parser("pipeline", help="run every stage and write a manifest")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_pipeline)
-
+    add("pipeline", _pipeline, "run every stage and write a manifest")
     return parser
 
 
@@ -274,7 +214,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        outputs = args.build(_Analysis(args))
+        if args.build is _pipeline:
+            manifest = write_reports(outputs, args.out)
+            for entry in manifest["files"]:
+                print(os.path.join(args.out, entry["name"]))
+            print(os.path.join(args.out, "manifest.json"))
+        else:
+            for name, content in outputs.items():
+                os.makedirs(args.out, exist_ok=True)
+                path = os.path.join(args.out, name)
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(content)
+                print(path)
+        return 0
     except CodaError as exc:
         print(exc.record(), file=sys.stderr)
         return 1

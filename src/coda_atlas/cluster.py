@@ -23,6 +23,7 @@ the merge. That is about O(n^2) time in practice and O(n^3) at worst; on a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,14 +34,15 @@ from .composition import (
     IndicatorTable,
     RatioDefinition,
     clr_matrix,
+    resolvable_ratios,
 )
 from .errors import (
     DimensionMismatch,
+    DuplicateEntityId,
     InfeasibleCut,
     InvalidOptions,
     MismatchedEntities,
     TooFewRows,
-    UnknownPart,
 )
 
 LINKAGES = ("single", "complete", "average")
@@ -62,11 +64,17 @@ class DistanceMatrix:
         n = len(self.ids)
         if v.shape != (n, n):
             raise DimensionMismatch(f"matrix {v.shape} for {n} ids")
-        if not np.allclose(v, v.T, rtol=0.0, atol=1e-12):
+        if len(set(self.ids)) != n:
+            counts = Counter(self.ids)
+            raise DuplicateEntityId(",".join(sorted(x for x in counts if counts[x] > 1)))
+        # checked in row blocks, so temporaries stay at _DISTANCE_BLOCK_ROWS x n
+        rows = range(0, n, _DISTANCE_BLOCK_ROWS)
+        blocks = [slice(r, r + _DISTANCE_BLOCK_ROWS) for r in rows]
+        if not all(np.allclose(v[b], v[:, b].T, rtol=0.0, atol=1e-12) for b in blocks):
             raise DimensionMismatch("distance matrix is not symmetric")
         if np.any(np.diag(v) != 0.0):
             raise DimensionMismatch("distance matrix diagonal is not zero")
-        if np.any(v < 0.0):
+        if any(np.any(v[b] < 0.0) for b in blocks):
             raise DimensionMismatch("distance matrix has negative entries")
 
     @property
@@ -291,14 +299,7 @@ def cluster_profile(
     if ratios is None:
         from .ingest import default_ratio_catalog
 
-        resolved = []
-        for definition in default_ratio_catalog():
-            try:
-                definition.resolve(table)
-            except UnknownPart:
-                continue
-            resolved.append(definition)
-        ratios = resolved
+        ratios = resolvable_ratios(table, default_ratio_catalog())
 
     row_of = {eid: r for r, eid in enumerate(table.entity_ids)}
     profiles = []

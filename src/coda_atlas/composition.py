@@ -120,6 +120,14 @@ class RatioDefinition:
         return table.part_index(self.numerator), table.part_index(self.denominator)
 
 
+def resolvable_ratios(
+    table: IndicatorTable, catalog: Sequence[RatioDefinition]
+) -> tuple[RatioDefinition, ...]:
+    """The definitions of ``catalog``, in order, whose two parts are in ``table``."""
+    names = set(table.part_names)
+    return tuple(r for r in catalog if r.numerator in names and r.denominator in names)
+
+
 @dataclass(frozen=True, eq=False)
 class ClrMatrix:
     """Row-wise CLR transform of an IndicatorTable; each row sums to zero."""

@@ -20,7 +20,9 @@ class CodaError(Exception):
         return f"{type(self).__name__}:{detail}"
 
 
-class NonPositiveValue(CodaError):
+class _CellError(CodaError):
+    """A bad value in one cell of the value matrix."""
+
     def __init__(self, row: int, col: int, value: float):
         super().__init__(row, col, value)
         self.row, self.col, self.value = row, col, value
@@ -29,22 +31,16 @@ class NonPositiveValue(CodaError):
         return f"row={self.row},col={self.col},value={self.value!r}"
 
 
-class NonFiniteValue(CodaError):
-    def __init__(self, row: int, col: int, value: float):
-        super().__init__(row, col, value)
-        self.row, self.col, self.value = row, col, value
-
-    def detail(self) -> str:
-        return f"row={self.row},col={self.col},value={self.value!r}"
+class NonPositiveValue(_CellError):
+    pass
 
 
-class NegativeValue(CodaError):
-    def __init__(self, row: int, col: int, value: float):
-        super().__init__(row, col, value)
-        self.row, self.col, self.value = row, col, value
+class NonFiniteValue(_CellError):
+    pass
 
-    def detail(self) -> str:
-        return f"row={self.row},col={self.col},value={self.value!r}"
+
+class NegativeValue(_CellError):
+    pass
 
 
 class DegenerateRow(CodaError):

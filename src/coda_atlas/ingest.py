@@ -20,7 +20,7 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -150,6 +150,52 @@ def default_ratio_catalog() -> tuple[RatioDefinition, ...]:
     )
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_list_of(x, is_valid) -> bool:
+    return isinstance(x, list) and all(is_valid(v) for v in x)
+
+
+def _is_object_of(x, is_valid) -> bool:
+    return isinstance(x, dict) and all(is_valid(v) for v in x.values())
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_ratio(x) -> bool:
+    required = {"name", "numerator", "denominator"}
+    return _is_object_of(x, _is_str) and required <= set(x) <= required | {"description"}
+
+
+def _is_conversion(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and _is_str(x[0]) and _is_number(x[1])
+
+
+#: config document key -> (check of its JSON value, the expected shape in words)
+_CONFIG_SHAPES = {
+    "locale": (_is_str, "a string"),
+    "unit_map": (lambda x: _is_object_of(x, _is_str), "an object of unit names"),
+    "zero_strategy": (
+        lambda x: _is_str(x) or _is_object_of(x, _is_number),
+        '"reject" or {"multiplicative": delta}',
+    ),
+    "ratio_catalog": (
+        lambda x: _is_list_of(x, _is_ratio),
+        "a list of objects with string name, numerator, denominator"
+        " and optional description",
+    ),
+    "extra_canonical_units": (lambda x: _is_list_of(x, _is_str), "a list of strings"),
+    "extra_conversions": (
+        lambda x: _is_object_of(x, _is_conversion),
+        "an object of [canonical unit, factor] pairs",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     """Parsing options: locale, declared units, zero strategy, ratio catalog.
@@ -157,7 +203,7 @@ class IngestConfig:
     zero_strategy is either the string "reject" or a mapping
     {"multiplicative": delta} with delta in (0, 1]. extra_canonical_units and
     extra_conversions extend the default unit registry; extra_conversions
-    maps a unit name to (canonical unit, factor).
+    maps a unit name to (canonical unit, factor). Ratio names are unique.
     """
 
     locale: str = "point_decimal"
@@ -172,6 +218,10 @@ class IngestConfig:
     def __post_init__(self):
         if self.locale not in LOCALES:
             raise InvalidOptions(f"locale {self.locale!r} not in {LOCALES}")
+        names = [r.name for r in self.ratio_catalog]
+        if len(set(names)) != len(names):
+            dup = sorted({x for x in names if names.count(x) > 1})
+            raise InvalidOptions(f"duplicate ratio names: {dup}")
         self._zero_mode()  # validates
         registry = self.registry()
         for column, unit in self.unit_map.items():
@@ -204,15 +254,7 @@ class IngestConfig:
             "locale": self.locale,
             "unit_map": dict(self.unit_map),
             "zero_strategy": self.zero_strategy,
-            "ratio_catalog": [
-                {
-                    "name": r.name,
-                    "numerator": r.numerator,
-                    "denominator": r.denominator,
-                    "description": r.description,
-                }
-                for r in self.ratio_catalog
-            ],
+            "ratio_catalog": [asdict(r) for r in self.ratio_catalog],
             "extra_canonical_units": list(self.extra_canonical_units),
             "extra_conversions": {
                 unit: [canonical, factor]
@@ -231,36 +273,22 @@ class IngestConfig:
             ) from exc
         if not isinstance(doc, dict):
             raise InvalidOptions("config document must be a JSON object")
-        known = {
-            "locale", "unit_map", "zero_strategy", "ratio_catalog",
-            "extra_canonical_units", "extra_conversions",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_CONFIG_SHAPES)
         if unknown:
             raise InvalidOptions(f"unrecognized config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "locale" in doc:
-            kwargs["locale"] = doc["locale"]
-        if "unit_map" in doc:
-            kwargs["unit_map"] = dict(doc["unit_map"])
-        if "zero_strategy" in doc:
-            kwargs["zero_strategy"] = doc["zero_strategy"]
+        for key, value in doc.items():
+            is_valid, shape = _CONFIG_SHAPES[key]
+            if not is_valid(value):
+                raise InvalidOptions(f"config {key!r} must be {shape}")
+        kwargs = dict(doc)
         if "ratio_catalog" in doc:
-            kwargs["ratio_catalog"] = tuple(
-                RatioDefinition(
-                    name=r["name"],
-                    numerator=r["numerator"],
-                    denominator=r["denominator"],
-                    description=r.get("description", ""),
-                )
-                for r in doc["ratio_catalog"]
-            )
+            kwargs["ratio_catalog"] = tuple(RatioDefinition(**r) for r in doc["ratio_catalog"])
         if "extra_canonical_units" in doc:
             kwargs["extra_canonical_units"] = tuple(doc["extra_canonical_units"])
         if "extra_conversions" in doc:
             kwargs["extra_conversions"] = {
-                unit: (pair[0], float(pair[1]))
-                for unit, pair in doc["extra_conversions"].items()
+                unit: (canonical, float(factor))
+                for unit, (canonical, factor) in doc["extra_conversions"].items()
             }
         return cls(**kwargs)
 

@@ -17,7 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from ._fmt import fmt_float
-from .composition import IndicatorTable, RatioDefinition, log_ratio_series, named_ratio
+from .composition import (
+    IndicatorTable,
+    RatioDefinition,
+    log_ratio_series,
+    named_ratio,
+    resolvable_ratios,
+)
 from .errors import EmptyInput, TooFewValues, UnknownPart, ZeroVariance
 
 
@@ -200,10 +206,6 @@ def summarize_table(
         describe(table.values[:, d], name=part.name)
         for d, part in enumerate(table.parts)
     ]
-    for definition in ratio_defs:
-        try:
-            raw = named_ratio(table, definition)
-        except UnknownPart:
-            continue
-        out.append(describe(raw, name=definition.name))
+    for definition in resolvable_ratios(table, ratio_defs):
+        out.append(describe(named_ratio(table, definition), name=definition.name))
     return out

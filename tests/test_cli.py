@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from coda_atlas import IngestConfig, synthetic_csv
+from coda_atlas import IngestConfig, RatioDefinition, synthetic_csv
 from coda_atlas.cli import main
 
 from oracles import brute_force_ranking
@@ -259,6 +259,57 @@ class TestConfigFlag:
         )
 
 
+class TestConfigDocuments:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"ratio_catalog": [{"name": "x"}]}',
+            '{"ratio_catalog": [{"name": "x", "numerator": "a", "denominator": "b", "unit": "t"}]}',
+            '{"ratio_catalog": {"name": "x", "numerator": "a", "denominator": "b"}}',
+            '{"ratio_catalog": [{"name": 5, "numerator": "a", "denominator": "b"}]}',
+            '{"unit_map": 5}',
+            '{"unit_map": {"net_revenue": 5}}',
+            '{"zero_strategy": {"multiplicative": "half"}}',
+            '{"extra_canonical_units": "kWh"}',
+            '{"extra_conversions": {"kJ": ["MWh", "2.8e-10"]}}',
+            '{"extra_conversions": {"kJ": ["MWh", 2.8e-10, 1]}}',
+            '{"ratio_catalog": ['
+            '{"name": "s", "numerator": "total_assets", "denominator": "net_revenue"},'
+            '{"name": "s", "numerator": "net_revenue", "denominator": "total_assets"}]}',
+        ],
+        ids=[
+            "ratio-without-parts", "ratio-unknown-key", "catalog-not-a-list",
+            "ratio-name-not-a-string", "unit-map-not-an-object", "unit-not-a-string",
+            "delta-not-a-number", "units-not-a-list", "factor-not-a-number",
+            "conversion-not-a-pair", "duplicate-ratio-names",
+        ],
+    )
+    def test_malformed_config_is_one_error_record(self, document, table_csv, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(document)
+        out_dir = tmp_path / "reports"
+        args = ["pipeline", table_csv, "--config", str(config_path), "-o", str(out_dir)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidOptions:")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_cluster_profiles_follow_the_config_catalog(self, table_csv, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        catalog = (RatioDefinition("rev_per_head", "net_revenue", "male_employees"),)
+        config_path.write_text(IngestConfig(ratio_catalog=catalog).to_json())
+        for subcommand in ("cluster", "pipeline"):
+            out_dir = tmp_path / subcommand
+            args = [subcommand, table_csv, "--config", str(config_path), "-o", str(out_dir)]
+            assert main(args) == 0
+            capsys.readouterr()
+            doc = json.loads((out_dir / "cluster_profiles.json").read_text())
+            assert doc["clusters"]
+            for cluster in doc["clusters"]:
+                assert list(cluster["ratio_means"]) == ["rev_per_head"]
+
+
 class TestPipeline:
     def test_writes_full_artifact_set_with_manifest(self, table_csv, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -280,6 +331,27 @@ class TestPipeline:
             assert (out_dir / name).exists()
         assert printed[-1].endswith("manifest.json")
         assert len(printed) == len(names) + 1
+
+
+    @pytest.mark.parametrize("seed", [None, 23])
+    def test_every_subcommand_writes_the_pipeline_bytes(self, seed, tmp_path, capsys):
+        table = tmp_path / "fixture.csv"
+        table.write_text(synthetic_csv() if seed is None else synthetic_csv(seed=seed))
+        assert main(["pipeline", str(table), "-o", str(tmp_path / "pipeline")]) == 0
+        ratios = [r.name for r in IngestConfig().ratio_catalog]
+        runs = [["describe"], ["diagnose"], ["clr"], ["biplot"], ["cluster"]]
+        runs += [["rank", "--ratio", name] for name in ratios]
+        runs.append(["render", "--links", ",".join(ratios)])
+        written = set()
+        for k, (subcommand, *flags) in enumerate(runs):
+            out_dir = tmp_path / f"{k}_{subcommand}"
+            assert main([subcommand, str(table), *flags, "-o", str(out_dir)]) == 0
+            for path in out_dir.iterdir():
+                assert path.read_bytes() == (tmp_path / "pipeline" / path.name).read_bytes()
+                written.add(path.name)
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "pipeline" / "manifest.json").read_text())
+        assert written == {entry["name"] for entry in manifest["files"]} - {"table.csv"}
 
 
 class TestConsoleScript:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from coda_atlas.cluster import (
 )
 from coda_atlas.errors import (
     DimensionMismatch,
+    DuplicateEntityId,
     InfeasibleCut,
     InvalidOptions,
     MismatchedEntities,
@@ -156,6 +158,47 @@ class TestDistanceMatrix:
             DistanceMatrix(ids=("a", "b"), values=np.array([[0.5, 1.0], [1.0, 0.0]]))
         with pytest.raises(DimensionMismatch):
             DistanceMatrix(ids=("a",), values=good)
+
+    @pytest.mark.parametrize(
+        "cut", [{}, {"n_clusters": 2}, {"threshold": 1.0}], ids=["gap", "count", "threshold"]
+    )
+    def test_duplicate_ids_rejected(self, cut):
+        values = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0], [3.0, 3.0, 0.0]])
+        with pytest.raises(DuplicateEntityId, match="^a$"):
+            hierarchical_cluster(DistanceMatrix(ids=("a", "a", "b"), values=values), **cut)
+
+    @pytest.mark.parametrize("row", [_DISTANCE_BLOCK_ROWS, 2 * _DISTANCE_BLOCK_ROWS + 3])
+    def test_defects_past_the_first_row_block_rejected(self, rng, row):
+        # both (row, col) and (col, row) lie outside the first row block
+        n, col = 2 * _DISTANCE_BLOCK_ROWS + 5, _DISTANCE_BLOCK_ROWS + 1
+        ids = tuple(f"e{k:03d}" for k in range(n))
+        good = distance_matrix(clr_matrix(random_table(rng, n, 4))).values
+        asymmetric = good.copy()
+        asymmetric[row, col] += 1e-9
+        with pytest.raises(DimensionMismatch, match="not symmetric"):
+            DistanceMatrix(ids=ids, values=asymmetric)
+        negative = good.copy()
+        negative[row, col] = negative[col, row] = -1.0
+        with pytest.raises(DimensionMismatch, match="negative"):
+            DistanceMatrix(ids=ids, values=negative)
+        within_tolerance = good.copy()
+        within_tolerance[row, col] += 5e-13
+        infinite = good.copy()
+        infinite[row, col] = infinite[col, row] = np.inf
+        DistanceMatrix(ids=ids, values=within_tolerance)
+        DistanceMatrix(ids=ids, values=infinite)
+
+    def test_validation_temporaries_are_row_blocks(self, rng):
+        n = 600
+        values = distance_matrix(clr_matrix(random_table(rng, n, 4))).values
+        tracemalloc.start()
+        try:
+            DistanceMatrix(ids=tuple(f"e{k:03d}" for k in range(n)), values=values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a whole-matrix check builds several n x n temporaries (2.9 MB each)
+        assert peak < 16 * _DISTANCE_BLOCK_ROWS * n * 8
 
 
 class TestHierarchicalCluster:

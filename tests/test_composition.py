@@ -20,6 +20,7 @@ from coda_atlas import (
     named_ratio,
     pairwise_log_ratio,
     replace_zeros,
+    resolvable_ratios,
     validate_table,
 )
 from coda_atlas.errors import (
@@ -218,6 +219,16 @@ class TestRatioSeries:
     def test_same_part_definition_rejected(self):
         with pytest.raises(SamePart):
             RatioDefinition("bad", "beta", "beta")
+
+    def test_resolvable_ratios_keep_catalog_order(self):
+        catalog = (
+            RatioDefinition("gamma_over_beta", "gamma", "beta"),
+            RatioDefinition("delta_over_alpha", "delta", "alpha"),
+            self.definition,
+            RatioDefinition("alpha_over_delta", "alpha", "delta"),
+        )
+        assert resolvable_ratios(self.table, catalog) == (catalog[0], catalog[2])
+        assert resolvable_ratios(self.table, ()) == ()
 
 
 class TestReplaceZeros:
