@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .composition import ClrMatrix
 from .errors import (
@@ -90,7 +89,7 @@ class RankingResult:
     holds entity ids sorted by descending score with ties broken by
     ascending entity id. ``fidelity`` is the Pearson correlation between
     scores and the exact centred log-ratios, ``rank_agreement`` their
-    Kendall tau.
+    Kendall tau-b.
     """
 
     link: Link
@@ -220,6 +219,49 @@ def _is_constant(v: np.ndarray) -> bool:
     return spread <= _CONSTANT_RTOL * max(1.0, float(np.max(np.abs(v))))
 
 
+def _pairs_within(counts: np.ndarray) -> int:
+    """Number of unordered pairs inside groups of the given sizes."""
+    counts = counts.astype(np.int64)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _kendall_tau_b(x, y) -> float:
+    """Kendall's tau-b of two equal-length finite samples; NaN if either is constant.
+
+    Knight's (1966) O(n log n) count, in the order scipy.stats.kendalltau
+    uses so the result is bit-identical: after sorting by y and then stably
+    by x, the discordant pairs are the inversions left in y's dense ranks.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    perm = np.argsort(y)
+    x, y = x[perm], y[perm]
+    y = np.r_[True, y[1:] != y[:-1]].cumsum(dtype=np.intp)
+    perm = np.argsort(x, kind="stable")
+    x, y = x[perm], y[perm]
+    x = np.r_[True, x[1:] != x[:-1]].cumsum(dtype=np.intp)
+
+    # Bottom-up merge of sorted runs: a stable merge moves each entry of a
+    # right run left past exactly the entries of its left run that exceed it.
+    n = y.size
+    index = np.arange(n)
+    runs, dis, width = y, 0, 1
+    while width < n:
+        order = np.argsort(runs + index // (2 * width) * (n + 1), kind="stable")
+        right = (order & width) != 0
+        dis += int(order[right].sum() - index[right].sum())
+        runs = runs[order]
+        width *= 2
+
+    joint = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = _pairs_within(np.diff(np.flatnonzero(joint)))
+    xtie, ytie = _pairs_within(np.bincount(x)), _pairs_within(np.bincount(y))
+    tot = n * (n - 1) // 2
+    if xtie == tot or ytie == tot:
+        return float("nan")
+    tau = (tot - xtie - ytie + ntie - 2 * dis) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 def rank_along_link(model: BiplotModel, link: Link) -> RankingResult:
     """Order entities by orthogonal projection onto a link.
 
@@ -227,15 +269,20 @@ def rank_along_link(model: BiplotModel, link: Link) -> RankingResult:
     along the link up to a positive affine map; distance to the link does not
     enter. Exact centred pairwise log-ratios come from the full CLR matrix,
     and fidelity/rank_agreement measure how faithfully the rank-k projection
-    reproduces them (exactly 1 at full compositional rank).
+    reproduces them (exactly 1 at full compositional rank). rank_agreement is
+    Kendall's tau-b, which corrects for ties in either series; it equals
+    ``scipy.stats.kendalltau(scores, exact).statistic`` bit for bit.
     """
     if link.degenerate:
         raise DegenerateLink(f"parts ({link.part_i}, {link.part_j}) have coincident rays")
     scores = model.points @ link.direction
     exact = model.centered[:, link.part_i] - model.centered[:, link.part_j]
 
-    order = sorted(range(model.n), key=lambda r: (-scores[r], model.entity_ids[r]))
-    ordering = tuple(model.entity_ids[r] for r in order)
+    ids = model.entity_ids
+    id_rank = np.empty(model.n, dtype=np.intp)
+    id_rank[sorted(range(model.n), key=ids.__getitem__)] = np.arange(model.n)
+    # descending score, ties by ascending entity id
+    ordering = tuple(ids[r] for r in np.lexsort((id_rank, -scores)).tolist())
 
     score_const, exact_const = _is_constant(scores), _is_constant(exact)
     if score_const or exact_const:
@@ -245,7 +292,7 @@ def rank_along_link(model: BiplotModel, link: Link) -> RankingResult:
         rank_agreement = fidelity
     else:
         fidelity = float(np.corrcoef(scores, exact)[0, 1])
-        rank_agreement = float(kendalltau(scores, exact).statistic)
+        rank_agreement = _kendall_tau_b(scores, exact)
 
     return RankingResult(
         link=link,

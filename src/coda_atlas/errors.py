@@ -104,6 +104,10 @@ class DegenerateVariance(CodaError):
     pass
 
 
+class NonFiniteStatistic(CodaError):
+    """A statistic of finite values over- or underflows float64."""
+
+
 class DegenerateLink(CodaError):
     pass
 

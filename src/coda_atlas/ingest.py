@@ -51,6 +51,9 @@ _EU_NUMBER = re.compile(
     r"[+-]?(?:(?:[0-9]{1,3}(?:\.[0-9]{3})+|[0-9]+)(?:,[0-9]*)?|,[0-9]+)(?:[eE][+-]?[0-9]+)?"
 )
 
+#: ratio names become file names (rankings_<name>.csv), so no path separators
+_RATIO_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+
 #: canonical unit → role used when a part is absent from the schema
 _ROLE_FOR_UNIT = {
     "EUR_MM": "financial",
@@ -203,7 +206,8 @@ class IngestConfig:
     zero_strategy is either the string "reject" or a mapping
     {"multiplicative": delta} with delta in (0, 1]. extra_canonical_units and
     extra_conversions extend the default unit registry; extra_conversions
-    maps a unit name to (canonical unit, factor). Ratio names are unique.
+    maps a unit name to (canonical unit, factor). Ratio names are unique and
+    use only ``[A-Za-z0-9_.-]``, because they name output files.
     """
 
     locale: str = "point_decimal"
@@ -219,6 +223,9 @@ class IngestConfig:
         if self.locale not in LOCALES:
             raise InvalidOptions(f"locale {self.locale!r} not in {LOCALES}")
         names = [r.name for r in self.ratio_catalog]
+        for name in names:
+            if not (isinstance(name, str) and _RATIO_NAME.fullmatch(name)):
+                raise InvalidOptions(f"ratio name {name!r} is not [A-Za-z0-9_.-]+")
         if len(set(names)) != len(names):
             dup = sorted({x for x in names if names.count(x) > 1})
             raise InvalidOptions(f"duplicate ratio names: {dup}")

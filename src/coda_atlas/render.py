@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from html import escape as html_escape
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -34,6 +34,12 @@ from .errors import (
     UnsupportedRank,
 )
 from .ingest import default_ratio_catalog
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > like xml.sax.saxutils.escape, without importing urllib."""
+    return html_escape(text, quote=False)
+
 
 #: fixed 10-color cycle for sectors without an explicit palette entry
 COLOR_CYCLE = (
@@ -240,11 +246,11 @@ def render_biplot(
     lines.append(
         f'<text class="axis-label" x="{_fmt(options.width - 6.0)}" '
         f'y="{_fmt(origin[1] - 6.0)}" text-anchor="end" font-size="12" '
-        f'fill="#555555">{escape(pc1)}</text>'
+        f'fill="#555555">{_escape(pc1)}</text>'
     )
     lines.append(
         f'<text class="axis-label" x="{_fmt(origin[0] + 6.0)}" y="{_fmt(12.0)}" '
-        f'text-anchor="start" font-size="12" fill="#555555">{escape(pc2)}</text>'
+        f'text-anchor="start" font-size="12" fill="#555555">{_escape(pc2)}</text>'
     )
 
     lines.append('<g class="rays" stroke="#444444" stroke-width="1.5">')
@@ -260,7 +266,7 @@ def render_biplot(
         lines.append(
             f'<text class="ray-label" x="{_fmt(tip[0] + 4.0)}" '
             f'y="{_fmt(tip[1] - 4.0)}" font-size="11" '
-            f'fill="#444444">{escape(name)}</text>'
+            f'fill="#444444">{_escape(name)}</text>'
         )
 
     for name, i, j in links:
@@ -273,7 +279,7 @@ def render_biplot(
         t_lo = min(0.0, min(feet_t))
         t_hi = max(length, max(feet_t))
         start, end = a + t_lo * u, a + t_hi * u
-        lines.append(f'<g class="link-group" data-ratio="{escape(name)}">')
+        lines.append(f'<g class="link-group" data-ratio="{_escape(name)}">')
         lines.append(
             f'<line class="link" x1="{_fmt(start[0])}" y1="{_fmt(start[1])}" '
             f'x2="{_fmt(end[0])}" y2="{_fmt(end[1])}" stroke="#999999" '
@@ -303,7 +309,7 @@ def render_biplot(
             lines.append(
                 f'<text class="point-label" x="{_fmt(p[0] + 5.0)}" '
                 f'y="{_fmt(p[1] + 3.0)}" font-size="10" '
-                f'fill="#222222">{escape(entity.id)}</text>'
+                f'fill="#222222">{_escape(entity.id)}</text>'
             )
 
     lines.append("</svg>")

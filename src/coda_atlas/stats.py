@@ -24,7 +24,7 @@ from .composition import (
     named_ratio,
     resolvable_ratios,
 )
-from .errors import EmptyInput, TooFewValues, UnknownPart, ZeroVariance
+from .errors import EmptyInput, NonFiniteStatistic, TooFewValues, UnknownPart, ZeroVariance
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,23 @@ def describe(values, name: str = "") -> DescriptiveSummary:
     """Summary statistics of a finite sample.
 
     Quartiles sit at index (n-1)*p with linear interpolation between
-    neighbours; sd uses divisor n-1 and is 0 for a singleton.
+    neighbours; sd uses divisor n-1 and is 0 for a singleton. A statistic
+    that overflows float64 (e.g. the sd of values near 1e300) raises
+    NonFiniteStatistic naming the column.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise EmptyInput("describe needs at least one value")
     if not np.all(np.isfinite(v)):
         raise EmptyInput("describe needs finite values")
-    q = np.quantile(v, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
-    sd = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
-    return DescriptiveSummary(
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.quantile(v, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
+        sd = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
+        mean = float(v.mean())
+    summary = DescriptiveSummary(
         name=name,
         n=int(v.size),
-        mean=float(v.mean()),
+        mean=mean,
         sd=sd,
         minimum=float(q[0]),
         q1=float(q[1]),
@@ -91,13 +95,18 @@ def describe(values, name: str = "") -> DescriptiveSummary:
         q3=float(q[3]),
         maximum=float(q[4]),
     )
+    for statistic in ("mean", "sd", "q1", "median", "q3"):
+        if not math.isfinite(getattr(summary, statistic)):
+            raise NonFiniteStatistic(f"column={name},statistic={statistic}")
+    return summary
 
 
 def skewness(values) -> float:
     """Adjusted Fisher-Pearson sample skewness.
 
     g1 * sqrt(n*(n-1)) / (n-2) with g1 = m3 / m2^(3/2), where m2 and m3 are
-    the biased central moments. Needs n >= 3 and a non-constant sample.
+    the biased central moments. Needs n >= 3 and a non-constant sample;
+    moments that over- or underflow float64 raise NonFiniteStatistic.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -105,11 +114,14 @@ def skewness(values) -> float:
         raise TooFewValues(f"skewness needs n >= 3, got {n}")
     if float(v.max()) == float(v.min()):
         raise ZeroVariance("skewness undefined for a constant sample")
-    d = v - v.mean()
-    m2 = float(np.mean(d * d))
-    m3 = float(np.mean(d * d * d))
-    g1 = m3 / m2**1.5
-    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
+    with np.errstate(all="ignore"):
+        d = v - v.mean()
+        m2 = np.mean(d * d)
+        m3 = np.mean(d * d * d)
+        g1 = m3 / m2**1.5
+    if not np.isfinite(g1):
+        raise NonFiniteStatistic("statistic=skewness")
+    return float(g1) * math.sqrt(n * (n - 1)) / (n - 2)
 
 
 def outlier_count(values, k: float = 1.5) -> int:
@@ -129,9 +141,9 @@ def pathology_report(
     """Skewness/outlier diagnostics of each ratio in raw vs log form.
 
     skew_reduced is True when |skew(log values)| < |skew(raw values)|.
-    Ratios whose parts are missing from the table, constant ratios and
-    too-small samples are reported as not applicable rather than failing
-    the whole report.
+    Ratios whose parts are missing from the table, constant ratios,
+    too-small samples and moments beyond float64 are reported as not
+    applicable rather than failing the whole report.
     """
     entries = []
     for definition in ratio_defs:
@@ -140,7 +152,7 @@ def pathology_report(
             logs = log_ratio_series(table, definition)
             skew_raw = skewness(raw)
             skew_log = skewness(logs)
-        except (TooFewValues, ZeroVariance, UnknownPart) as exc:
+        except (TooFewValues, ZeroVariance, UnknownPart, NonFiniteStatistic) as exc:
             entries.append(
                 RatioPathology(
                     ratio=definition.name,

@@ -14,6 +14,8 @@ These deliberately avoid the library calls they are checking:
   reproduce its history exactly, floats and tie-breaks included.
 * ``full_tensor_distances`` forms the whole n x n x D difference tensor
   that the row-blocked ``distance_matrix`` avoids.
+* ``pairwise_kendall_tau_b`` counts concordant, discordant and tied pairs
+  one pair at a time, the O(n^2) definition behind the merge-count tau-b.
 """
 
 from __future__ import annotations
@@ -156,3 +158,24 @@ def full_tensor_distances(c) -> np.ndarray:
     d = np.sqrt(np.sum(diff * diff, axis=-1))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def pairwise_kendall_tau_b(x, y) -> float:
+    """Kendall's tau-b by visiting every pair: (C - D) / sqrt((P - Tx)(P - Ty)).
+
+    P counts all pairs, Tx and Ty the pairs tied in x and in y (joint ties
+    in both); NaN when every pair is tied in x or in y.
+    """
+    concordant = discordant = tied_x = tied_y = 0
+    pairs = 0
+    for a, b in combinations(range(len(x)), 2):
+        pairs += 1
+        sx = int(x[a] > x[b]) - int(x[a] < x[b])
+        sy = int(y[a] > y[b]) - int(y[a] < y[b])
+        tied_x += sx == 0
+        tied_y += sy == 0
+        concordant += sx * sy == 1
+        discordant += sx * sy == -1
+    if tied_x == pairs or tied_y == pairs:
+        return math.nan
+    return (concordant - discordant) / math.sqrt((pairs - tied_x) * (pairs - tied_y))

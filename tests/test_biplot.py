@@ -1,10 +1,14 @@
 """Biplot engine: SVD against an independent eigensolver, projections, rankings."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coda_atlas import (
     clr_matrix,
@@ -16,7 +20,7 @@ from coda_atlas import (
     reconstruct,
     singular_spectrum,
 )
-from coda_atlas.biplot import center_columns
+from coda_atlas.biplot import Link, _kendall_tau_b, center_columns
 from coda_atlas.errors import (
     DegenerateLink,
     DegenerateVariance,
@@ -28,7 +32,7 @@ from coda_atlas.errors import (
 )
 
 from conftest import make_table, random_table
-from oracles import brute_force_ranking, oracle_singular_values
+from oracles import brute_force_ranking, oracle_singular_values, pairwise_kendall_tau_b
 
 #: fixed 4x4 fixture: two mirrored geometric rows and two step rows
 FIXTURE_ROWS = [
@@ -240,6 +244,24 @@ class TestRanking:
         assert abs(pos_aa - pos_zz) == 1
         assert pos_aa < pos_zz
 
+    @given(
+        st.lists(st.floats(-2.0, 2.0).map(lambda v: round(v, 1)), min_size=3, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ordering_equals_python_sort_on_tied_scores(self, scores, random):
+        # scores rounded to one decimal tie often (0.0 and -0.0 included);
+        # ids "g1".."gN" shuffled, so "g10" < "g9" as strings
+        n = len(scores)
+        ids = [f"g{r + 1}" for r in range(n)]
+        random.shuffle(ids)
+        model = fit_biplot(clr_matrix(make_table(np.arange(1.0, 3 * n + 1).reshape(n, 3))))
+        points = np.column_stack([scores, np.zeros(n)])
+        model = dataclasses.replace(model, points=points, entity_ids=tuple(ids))
+        link = Link(part_i=0, part_j=1, direction=np.array([1.0, 0.0]), degenerate=False)
+        expected = sorted(range(n), key=lambda r: (-scores[r], ids[r]))
+        assert rank_along_link(model, link).ordering == tuple(ids[r] for r in expected)
+
     def test_fidelity_below_one_when_rank_truncates(self, rng):
         # with D=8 and n=17 rank 2 < m: projections are approximations
         table = random_table(rng, 17, 8)
@@ -247,6 +269,59 @@ class TestRanking:
         result = rank_along_link(model, make_link(model, 0, 1))
         assert -1.0 <= result.fidelity <= 1.0
         assert -1.0 <= result.rank_agreement <= 1.0
+
+
+def _tau_columns(min_n, max_n, values):
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.tuples(st.lists(values, min_size=n, max_size=n),
+                            st.lists(values, min_size=n, max_size=n))
+    )
+
+
+#: integer grids (heavy ties), constant runs, and floats mixed with tied values
+_TAU_VALUES = st.one_of(
+    st.integers(0, 3).map(float),
+    st.integers(-1, 1).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+def _tau_samples(max_n):
+    return st.one_of(
+        _tau_columns(2, 2, _TAU_VALUES),
+        _tau_columns(2, max_n, st.integers(0, 2).map(float)),
+        _tau_columns(2, max_n, _TAU_VALUES),
+        st.integers(2, max_n).flatmap(
+            lambda n: st.tuples(st.just([1.5] * n), st.lists(_TAU_VALUES, min_size=n, max_size=n))
+        ),
+    )
+
+
+def _same_statistic(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestKendallTauB:
+    @given(_tau_samples(60))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_scipy(self, sample):
+        x, y = (np.array(column) for column in sample)
+        for a, b in ((x, y), (y, x)):
+            expected = float(scipy.stats.kendalltau(a, b).statistic)
+            assert _same_statistic(_kendall_tau_b(a, b), expected)
+
+    @given(_tau_samples(200))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_pairwise_oracle(self, sample):
+        x, y = sample
+        tau, oracle = _kendall_tau_b(np.array(x), np.array(y)), pairwise_kendall_tau_b(x, y)
+        assert (math.isnan(tau) and math.isnan(oracle)) or abs(tau - oracle) <= 1e-12
+
+    def test_large_sample_is_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(20000)
+        x = rng.normal(size=20_000)
+        y = np.round(x + rng.normal(size=20_000), 2)  # ties in y only
+        assert _kendall_tau_b(x, y) == float(scipy.stats.kendalltau(x, y).statistic)
 
 
 class TestModelJson:

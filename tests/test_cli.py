@@ -197,6 +197,38 @@ class TestRender:
         assert capsys.readouterr().err.strip() == "UnknownRatio:wombat"
 
 
+class TestNumericRange:
+    @pytest.fixture
+    def huge_csv(self, tmp_path):
+        # three fixture rows, one total_assets cell at 1e300: finite, but its
+        # sd (and the solvency ratio's moments) overflow float64
+        header, *rows = synthetic_csv().splitlines()[:4]
+        cells = rows[0].split(",")
+        cells[header.split(",").index("total_assets")] = "1e300"
+        rows[0] = ",".join(cells)
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("subcommand", ["describe", "pipeline"])
+    def test_overflowing_summary_is_one_error_record(self, subcommand, huge_csv, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        assert main([subcommand, huge_csv, "-o", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "NonFiniteStatistic:column=total_assets,statistic=sd\n"
+        assert not out_dir.exists()
+
+    def test_diagnose_marks_overflowing_ratio_not_applicable(self, huge_csv, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        assert main(["diagnose", huge_csv, "-o", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        entries = json.loads((out_dir / "pathology.json").read_text())["ratios"]
+        solvency = next(e for e in entries if e["ratio"] == "solvency")
+        assert solvency == {
+            "ratio": "solvency", "status": "not_applicable", "reason": "NonFiniteStatistic",
+        }
+
+
 class TestConfigFlag:
     def test_eu_locale_config_changes_parsing(self, tmp_path, capsys):
         table = tmp_path / "eu.csv"
@@ -295,6 +327,25 @@ class TestConfigDocuments:
         assert err.count("\n") == 1
         assert not out_dir.exists()
 
+    def test_ratio_name_cannot_leave_the_output_directory(self, table_csv, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            '{"ratio_catalog": [{"name": "x/../../escaped",'
+            ' "numerator": "total_assets", "denominator": "total_liabilities"}]}'
+        )
+        out_dir = tmp_path / "nest" / "reports"
+        (out_dir / "rankings_x").mkdir(parents=True)
+        for subcommand in ("pipeline", "rank"):
+            args = [subcommand, table_csv, "--config", str(config_path), "-o", str(out_dir)]
+            if subcommand == "rank":
+                args += ["--ratio", "x/../../escaped"]
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("InvalidOptions:ratio name 'x/../../escaped'")
+            assert err.count("\n") == 1
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        assert [str(p) for p in written] == ["config.json", "table.csv"]
+
     def test_cluster_profiles_follow_the_config_catalog(self, table_csv, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         catalog = (RatioDefinition("rev_per_head", "net_revenue", "male_employees"),)
@@ -363,6 +414,16 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "valid: 17 entities x 8 parts" in result.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        probe = (
+            "import sys, coda_atlas.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_fixture_module_runs_without_runpy_warning(self, tmp_path):
         out = tmp_path / "fixture.csv"

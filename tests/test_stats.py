@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coda_atlas import RatioDefinition, describe, outlier_count, skewness
-from coda_atlas.errors import EmptyInput, TooFewValues, ZeroVariance
+from coda_atlas.errors import EmptyInput, NonFiniteStatistic, TooFewValues, ZeroVariance
 from coda_atlas.stats import (
     describe_csv,
     pathology_json,
@@ -49,6 +49,15 @@ class TestDescribe:
     def test_non_finite_rejected(self):
         with pytest.raises(EmptyInput):
             describe([1.0, float("nan")])
+
+    @pytest.mark.parametrize(
+        "values, statistic",
+        [([1e300, 1.0, 2.0], "sd"), ([1e308, 1e308], "mean")],
+    )
+    def test_statistic_beyond_float64_names_the_column(self, values, statistic):
+        with pytest.raises(NonFiniteStatistic) as info:
+            describe(values, name="assets")
+        assert info.value.record() == f"NonFiniteStatistic:column=assets,statistic={statistic}"
 
     @given(samples)
     @settings(max_examples=150)
