@@ -1,18 +1,27 @@
 """Deterministic numeric and JSON formatting shared by all report writers.
 
 All numeric report output uses point-decimal notation with 17 significant
-digits, which round-trips IEEE double exactly. The stdlib ``json`` module
-cannot format floats that way, hence the small emitter below; string
-escaping is delegated back to ``json.dumps``.
+digits, which round-trips IEEE double exactly. Report tables are formatted
+whole-array at a time by one formatter, :func:`fill_rows`: it fills a
+``%``-template row by row from one flat argument tuple per block of rows,
+so the cost is the float formatting itself and never a Python call per
+cell. Finiteness is checked once per array (:func:`check_finite`), and a
+non-finite cell raises the same error as :func:`fmt_float` would for it.
+
+The stdlib ``json`` module cannot format floats that way, hence the small
+emitter below; string escaping is delegated back to ``json``'s own encoder.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Sequence
 
 import numpy as np
+
+#: rows formatted per block; bounds the Python objects alive at any time
+_BLOCK_ROWS = 1024
 
 
 def fmt_float(x: float) -> str:
@@ -23,17 +32,76 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def check_finite(values) -> None:
+    """Raise fmt_float's error for the first non-finite cell in row-major order."""
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        fmt_float(values.flat[np.argmin(finite)])
+
+
+def fill_rows(template: str, *columns: Sequence) -> str:
+    """``template % row`` for every row, concatenated.
+
+    Each column is a 1-D sequence of length n (one ``%`` field) or an n x k
+    array (k fields); a row's fields are the columns side by side. Floats
+    format exactly as ``format(x, spec)`` does (``"%.17g" % x`` equals
+    ``format(x, ".17g")``). No check is made here; see check_finite.
+    """
+    blocks = []
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            column = np.array(column, dtype=object)
+        blocks.append(column[:, None] if column.ndim == 1 else column)
+    n = len(blocks[0])
+    width = sum(block.shape[1] for block in blocks)
+    out = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        args = np.empty((hi - lo, width), dtype=object)
+        at = 0
+        for block in blocks:
+            args[:, at:at + block.shape[1]] = block[lo:hi]
+            at += block.shape[1]
+        out.append((template * (hi - lo)) % tuple(args.ravel().tolist()))
+    return "".join(out)
+
+
+def fmt_rows(prefixes: Sequence[str], values) -> str:
+    """CSV lines ``prefix,v1,...,vk`` of an n x k float array, each ending in newline.
+
+    Values are checked finite and formatted with 17 significant digits,
+    exactly as fmt_float formats each one.
+    """
+    values = np.asarray(values, dtype=float)
+    check_finite(values)
+    return fill_rows("%s" + ",%.17g" * values.shape[1] + "\n", prefixes, values)
+
+
+def _emit_floats(items: list, child_pad: str, pad: str, out: list[str]) -> None:
+    # the sum of finite floats is finite unless it overflows, and any inf or
+    # nan makes it non-finite: only the overflow case needs the cell checks
+    if not math.isfinite(sum(items)):
+        for x in items:
+            fmt_float(x)
+    sep = ",\n" + child_pad
+    out.append("[\n" + child_pad + sep.join(["%.17g"] * len(items)) % tuple(items))
+    out.append("\n" + pad + "]")
+
+
 def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
     pad = " " * (indent * level)
     child_pad = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(child_pad)
-            out.append(json.dumps(str(key)))
+            out.append(encode_basestring_ascii(str(key)))
             out.append(": ")
             _emit(value, indent, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
@@ -42,6 +110,9 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
         items = list(obj)
         if not items:
             out.append("[]")
+            return
+        if all(type(x) is float for x in items):
+            _emit_floats(items, child_pad, pad, out)
             return
         out.append("[\n")
         for i, value in enumerate(items):
@@ -57,14 +128,16 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to report JSON")
 
 
 def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON with deterministic key order and .17g floats."""
+    """Serialize to JSON with deterministic key order and .17g floats.
+
+    A list of plain floats is formatted in one pass; any other value is
+    emitted item by item.
+    """
     out: list[str] = []
     _emit(obj, indent, 0, out)
     out.append("\n")

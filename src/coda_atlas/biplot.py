@@ -34,7 +34,7 @@ from .errors import (
     SvdFailure,
     TooFewRows,
 )
-from ._fmt import dumps_json, fmt_float
+from ._fmt import check_finite, dumps_json, fill_rows
 
 #: Relative spread below which a score/log-ratio series counts as constant.
 _CONSTANT_RTOL = 1e-12
@@ -319,16 +319,16 @@ def model_to_json(model: BiplotModel) -> str:
     doc = {
         "alpha": model.alpha,
         "k": model.k,
-        "singular_values": [float(s) for s in model.singular_values],
-        "explained": [float(e) for e in model.explained],
-        "column_means": [float(c) for c in model.column_means],
+        "singular_values": model.singular_values.tolist(),
+        "explained": model.explained.tolist(),
+        "column_means": model.column_means.tolist(),
         "points": [
-            {"id": eid, "coords": [float(x) for x in model.points[r]]}
-            for r, eid in enumerate(model.entity_ids)
+            {"id": eid, "coords": coords}
+            for eid, coords in zip(model.entity_ids, model.points.tolist())
         ],
         "rays": [
-            {"part": name, "coords": [float(x) for x in model.rays[d]]}
-            for d, name in enumerate(model.part_names)
+            {"part": name, "coords": coords}
+            for name, coords in zip(model.part_names, model.rays.tolist())
         ],
     }
     return dumps_json(doc)
@@ -340,17 +340,9 @@ def ranking_csv(result: RankingResult) -> str:
     Rows follow the ranking order, so rank runs 1..n top-down.
     """
     pos = {eid: r for r, eid in enumerate(result.entity_ids)}
-    lines = ["entity_id,score,exact_log_ratio,rank"]
-    for rank, eid in enumerate(result.ordering, start=1):
-        r = pos[eid]
-        lines.append(
-            ",".join(
-                [
-                    eid,
-                    fmt_float(float(result.scores[r])),
-                    fmt_float(float(result.exact_log_ratios[r])),
-                    str(rank),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = np.array([pos[eid] for eid in result.ordering], dtype=np.intp)
+    values = np.column_stack((result.scores[rows], result.exact_log_ratios[rows]))
+    check_finite(values)
+    ranks = np.arange(1, len(rows) + 1)
+    body = fill_rows("%s,%.17g,%.17g,%d\n", result.ordering, values, ranks)
+    return "entity_id,score,exact_log_ratio,rank\n" + body

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._fmt import dumps_json, fmt_float
+from ._fmt import dumps_json, fmt_rows
 from .composition import (
     ClrMatrix,
     Entity,
@@ -406,6 +406,14 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
     return validate_table(raw, parts, entities)
 
 
+class _Echo:
+    """A file whose write returns its text, so csv writerow returns the line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def serialize_table(table: IndicatorTable) -> str:
     """Render a table as CSV in canonical units and point-decimal notation.
 
@@ -415,12 +423,10 @@ def serialize_table(table: IndicatorTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "label", "sector_code"] + list(table.part_names))
-    for r, entity in enumerate(table.entities):
-        writer.writerow(
-            [entity.id, entity.label, entity.sector_code]
-            + [fmt_float(v) for v in table.values[r]]
-        )
-    return buffer.getvalue()
+    # csv quotes id, label and sector code; the values never need quoting
+    line = csv.writer(_Echo(), lineterminator="\n").writerow
+    prefixes = [line([e.id, e.label, e.sector_code])[:-1] for e in table.entities]
+    return buffer.getvalue() + fmt_rows(prefixes, table.values)
 
 
 def table_config(table: IndicatorTable) -> IngestConfig:
@@ -441,10 +447,8 @@ def table_config(table: IndicatorTable) -> IngestConfig:
 
 def clr_csv(clr: ClrMatrix) -> str:
     """CSV rendering of a CLR matrix: id column plus one column per part."""
-    lines = [",".join(["id"] + [p.name for p in clr.parts])]
-    for r, eid in enumerate(clr.entity_ids):
-        lines.append(",".join([eid] + [fmt_float(v) for v in clr.values[r]]))
-    return "\n".join(lines) + "\n"
+    header = ",".join(["id"] + [p.name for p in clr.parts]) + "\n"
+    return header + fmt_rows(clr.entity_ids, clr.values)
 
 
 def write_reports(outputs: Mapping[str, str | bytes], directory: str) -> dict:

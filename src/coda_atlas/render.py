@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._fmt import fill_rows
 from .biplot import BiplotModel, make_link
 from .composition import IndicatorTable, RatioDefinition
 from .errors import (
@@ -37,7 +38,10 @@ from .ingest import default_ratio_catalog
 
 
 def _escape(text: str) -> str:
-    """Escape &, < and > like xml.sax.saxutils.escape, without importing urllib."""
+    """Escape &, < and > for text nodes, like xml.sax.saxutils.escape.
+
+    Attribute values use html_escape itself, which escapes quotes too.
+    """
     return html_escape(text, quote=False)
 
 
@@ -176,6 +180,29 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+#: per-entity elements, filled whole-array by _rows
+_TICK_ROW = (
+    '<line class="tick" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="#999999" '
+    'stroke-width="1"/>'
+)
+_POINT_ROW = f'<circle class="point" cx="%.6f" cy="%.6f" r="{_fmt(_POINT_RADIUS)}" fill="%s"/>'
+_LABEL_ROW = '<text class="point-label" x="%.6f" y="%.6f" font-size="10" fill="#222222">%s</text>'
+
+
+def _project(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(point - origin) . u for every point, each rounded as np.dot rounds it.
+
+    A batch of 1x2 by 2x1 products runs numpy's dot kernel once per point;
+    a plain elementwise sum can differ from it in the last bit.
+    """
+    return np.matmul((points - origin)[:, None, :], u[:, None])[:, 0, 0]
+
+
+def _rows(row: str, *columns) -> str:
+    """One element per row, newline-separated like the rest of the document."""
+    return fill_rows(row + "\n", *columns).removesuffix("\n")
+
+
 def render_biplot(
     model: BiplotModel,
     table: IndicatorTable,
@@ -275,42 +302,29 @@ def render_biplot(
         length = float(np.hypot(gap[0], gap[1]))
         u = gap / length
         normal = np.array([-u[1], u[0]])
-        feet_t = [float(np.dot(screen_points[r] - a, u)) for r in range(model.n)]
-        t_lo = min(0.0, min(feet_t))
-        t_hi = max(length, max(feet_t))
+        feet_t = _project(screen_points, a, u)
+        t_all = feet_t.tolist()
+        t_lo = min(0.0, min(t_all))
+        t_hi = max(length, max(t_all))
         start, end = a + t_lo * u, a + t_hi * u
-        lines.append(f'<g class="link-group" data-ratio="{_escape(name)}">')
+        feet = a + feet_t[:, None] * u
+        offset = _TICK_HALF_LENGTH * normal
+        lines.append(f'<g class="link-group" data-ratio="{html_escape(name)}">')
         lines.append(
             f'<line class="link" x1="{_fmt(start[0])}" y1="{_fmt(start[1])}" '
             f'x2="{_fmt(end[0])}" y2="{_fmt(end[1])}" stroke="#999999" '
             f'stroke-width="1" stroke-dasharray="4 3"/>'
         )
-        for t in feet_t:
-            foot = a + t * u
-            p_lo, p_hi = foot - _TICK_HALF_LENGTH * normal, foot + _TICK_HALF_LENGTH * normal
-            lines.append(
-                f'<line class="tick" x1="{_fmt(p_lo[0])}" y1="{_fmt(p_lo[1])}" '
-                f'x2="{_fmt(p_hi[0])}" y2="{_fmt(p_hi[1])}" stroke="#999999" '
-                f'stroke-width="1"/>'
-            )
+        lines.append(_rows(_TICK_ROW, np.hstack((feet - offset, feet + offset))))
         lines.append("</g>")
 
     lines.append('<g class="points">')
-    for r, entity in enumerate(table.entities):
-        p = screen_points[r]
-        lines.append(
-            f'<circle class="point" cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" '
-            f'r="{_fmt(_POINT_RADIUS)}" fill="{colors[entity.sector_code]}"/>'
-        )
+    fills = [colors[entity.sector_code] for entity in table.entities]
+    lines.append(_rows(_POINT_ROW, screen_points, fills))
     lines.append("</g>")
     if options.label_points:
-        for r, entity in enumerate(table.entities):
-            p = screen_points[r]
-            lines.append(
-                f'<text class="point-label" x="{_fmt(p[0] + 5.0)}" '
-                f'y="{_fmt(p[1] + 3.0)}" font-size="10" '
-                f'fill="#222222">{_escape(entity.id)}</text>'
-            )
+        ids = [_escape(entity.id) for entity in table.entities]
+        lines.append(_rows(_LABEL_ROW, screen_points + np.array([5.0, 3.0]), ids))
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

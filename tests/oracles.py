@@ -16,14 +16,39 @@ These deliberately avoid the library calls they are checking:
   that the row-blocked ``distance_matrix`` avoids.
 * ``pairwise_kendall_tau_b`` counts concordant, discordant and tied pairs
   one pair at a time, the O(n^2) definition behind the merge-count tau-b.
+* ``per_cell_serialize_table``, ``per_cell_clr_csv``,
+  ``per_cell_ranking_csv``, ``per_cell_dumps_json`` and
+  ``per_element_svg`` are the report writers as they were before the
+  whole-array formatter: one Python call per number. The production
+  writers must reproduce their bytes exactly, errors included.
 """
 
 from __future__ import annotations
 
+import csv
+import html
+import io
+import json
 import math
 from itertools import combinations
 
 import numpy as np
+
+from coda_atlas._fmt import fmt_float
+from coda_atlas.biplot import make_link
+from coda_atlas.errors import (
+    DegenerateLink,
+    MismatchedEntities,
+    UnknownRatio,
+    UnsupportedRank,
+)
+from coda_atlas.render import (
+    _POINT_RADIUS,
+    _TICK_HALF_LENGTH,
+    RenderOptions,
+    scale_to_viewport,
+    sector_colors,
+)
 
 
 def jacobi_eigenvalues(matrix, max_sweeps: int = 100):
@@ -179,3 +204,233 @@ def pairwise_kendall_tau_b(x, y) -> float:
     if tied_x == pairs or tied_y == pairs:
         return math.nan
     return (concordant - discordant) / math.sqrt((pairs - tied_x) * (pairs - tied_y))
+
+
+def per_cell_serialize_table(table) -> str:
+    """Table CSV with every row, numbers included, through one csv writer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["id", "label", "sector_code"] + list(table.part_names))
+    for r, entity in enumerate(table.entities):
+        writer.writerow(
+            [entity.id, entity.label, entity.sector_code]
+            + [fmt_float(v) for v in table.values[r]]
+        )
+    return buffer.getvalue()
+
+
+def per_cell_clr_csv(clr) -> str:
+    """CLR CSV, one fmt_float call per cell."""
+    lines = [",".join(["id"] + [p.name for p in clr.parts])]
+    for r, eid in enumerate(clr.entity_ids):
+        lines.append(",".join([eid] + [fmt_float(v) for v in clr.values[r]]))
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_ranking_csv(result) -> str:
+    """Ranking CSV, looked up and formatted one row at a time."""
+    pos = {eid: r for r, eid in enumerate(result.entity_ids)}
+    lines = ["entity_id,score,exact_log_ratio,rank"]
+    for rank, eid in enumerate(result.ordering, start=1):
+        r = pos[eid]
+        lines.append(
+            ",".join(
+                [
+                    eid,
+                    fmt_float(float(result.scores[r])),
+                    fmt_float(float(result.exact_log_ratios[r])),
+                    str(rank),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _emit(obj, indent, level, out):
+    pad = " " * (indent * level)
+    child_pad = " " * (indent * (level + 1))
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(child_pad)
+            out.append(json.dumps(str(key)))
+            out.append(": ")
+            _emit(value, indent, level + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(items):
+            out.append(child_pad)
+            _emit(value, indent, level + 1, out)
+            out.append(",\n" if i < len(items) - 1 else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to report JSON")
+
+
+def per_cell_dumps_json(obj, indent: int = 2) -> str:
+    """Report JSON emitted one value at a time, strings through json.dumps."""
+    out: list[str] = []
+    _emit(obj, indent, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _fmt6(x: float) -> str:
+    return f"{x:.6f}"
+
+
+def _text(text: str) -> str:
+    return html.escape(text, quote=False)
+
+
+def per_element_svg(model, table, options=None) -> str:
+    """Biplot SVG built one element and one number at a time.
+
+    The link group's data-ratio attribute is escaped with quotes, as the
+    production renderer now escapes it.
+    """
+    if options is None:
+        options = RenderOptions()
+    if model.k != 2:
+        raise UnsupportedRank(f"rendering needs a rank-2 model, got k={model.k}")
+    if model.entity_ids != table.entity_ids:
+        raise MismatchedEntities("model and table disagree on entities")
+    if model.part_names != table.part_names:
+        raise MismatchedEntities("model and table disagree on parts")
+
+    colors = sector_colors([e.sector_code for e in table.entities], options.sector_palette)
+
+    flip = np.array([1.0, -1.0])
+    data_points = model.points * flip
+    data_rays = model.rays * flip
+    transform = scale_to_viewport(data_points, data_rays, options)
+    screen_points = transform.apply(data_points)
+    screen_rays = transform.apply(data_rays)
+    origin = transform.apply(np.zeros(2))
+
+    catalog = {r.name: r for r in options.ratio_catalog}
+    links = []
+    for name in options.show_links:
+        if name not in catalog:
+            raise UnknownRatio(name)
+        definition = catalog[name]
+        i, j = definition.resolve(table)
+        link = make_link(model, i, j, label=name)
+        if link.degenerate:
+            raise DegenerateLink(f"ratio {name!r}: ray extremes coincide")
+        links.append((name, i, j))
+
+    lines: list[str] = []
+    lines.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{options.width}" height="{options.height}" '
+        f'viewBox="0 0 {options.width} {options.height}">'
+    )
+    lines.append("<title>CLR biplot</title>")
+    lines.append(
+        f'<rect class="background" x="0" y="0" width="{options.width}" '
+        f'height="{options.height}" fill="#ffffff"/>'
+    )
+
+    pc1 = f"PC1 ({model.explained[0] * 100.0:.1f}%)"
+    pc2 = f"PC2 ({model.explained[1] * 100.0:.1f}%)"
+    lines.append('<g class="axes" stroke="#cccccc" stroke-width="1">')
+    lines.append(
+        f'<line class="axis" x1="{_fmt6(0.0)}" y1="{_fmt6(origin[1])}" '
+        f'x2="{_fmt6(float(options.width))}" y2="{_fmt6(origin[1])}"/>'
+    )
+    lines.append(
+        f'<line class="axis" x1="{_fmt6(origin[0])}" y1="{_fmt6(0.0)}" '
+        f'x2="{_fmt6(origin[0])}" y2="{_fmt6(float(options.height))}"/>'
+    )
+    lines.append("</g>")
+    lines.append(
+        f'<text class="axis-label" x="{_fmt6(options.width - 6.0)}" '
+        f'y="{_fmt6(origin[1] - 6.0)}" text-anchor="end" font-size="12" '
+        f'fill="#555555">{_text(pc1)}</text>'
+    )
+    lines.append(
+        f'<text class="axis-label" x="{_fmt6(origin[0] + 6.0)}" y="{_fmt6(12.0)}" '
+        f'text-anchor="start" font-size="12" fill="#555555">{_text(pc2)}</text>'
+    )
+
+    lines.append('<g class="rays" stroke="#444444" stroke-width="1.5">')
+    for d, name in enumerate(model.part_names):
+        tip = screen_rays[d]
+        lines.append(
+            f'<line class="ray" x1="{_fmt6(origin[0])}" y1="{_fmt6(origin[1])}" '
+            f'x2="{_fmt6(tip[0])}" y2="{_fmt6(tip[1])}"/>'
+        )
+    lines.append("</g>")
+    for d, name in enumerate(model.part_names):
+        tip = screen_rays[d]
+        lines.append(
+            f'<text class="ray-label" x="{_fmt6(tip[0] + 4.0)}" '
+            f'y="{_fmt6(tip[1] - 4.0)}" font-size="11" '
+            f'fill="#444444">{_text(name)}</text>'
+        )
+
+    for name, i, j in links:
+        a, b = screen_rays[i], screen_rays[j]
+        gap = b - a
+        length = float(np.hypot(gap[0], gap[1]))
+        u = gap / length
+        normal = np.array([-u[1], u[0]])
+        feet_t = [float(np.dot(screen_points[r] - a, u)) for r in range(model.n)]
+        t_lo = min(0.0, min(feet_t))
+        t_hi = max(length, max(feet_t))
+        start, end = a + t_lo * u, a + t_hi * u
+        lines.append(f'<g class="link-group" data-ratio="{html.escape(name)}">')
+        lines.append(
+            f'<line class="link" x1="{_fmt6(start[0])}" y1="{_fmt6(start[1])}" '
+            f'x2="{_fmt6(end[0])}" y2="{_fmt6(end[1])}" stroke="#999999" '
+            f'stroke-width="1" stroke-dasharray="4 3"/>'
+        )
+        for t in feet_t:
+            foot = a + t * u
+            p_lo, p_hi = foot - _TICK_HALF_LENGTH * normal, foot + _TICK_HALF_LENGTH * normal
+            lines.append(
+                f'<line class="tick" x1="{_fmt6(p_lo[0])}" y1="{_fmt6(p_lo[1])}" '
+                f'x2="{_fmt6(p_hi[0])}" y2="{_fmt6(p_hi[1])}" stroke="#999999" '
+                f'stroke-width="1"/>'
+            )
+        lines.append("</g>")
+
+    lines.append('<g class="points">')
+    for r, entity in enumerate(table.entities):
+        p = screen_points[r]
+        lines.append(
+            f'<circle class="point" cx="{_fmt6(p[0])}" cy="{_fmt6(p[1])}" '
+            f'r="{_fmt6(_POINT_RADIUS)}" fill="{colors[entity.sector_code]}"/>'
+        )
+    lines.append("</g>")
+    if options.label_points:
+        for r, entity in enumerate(table.entities):
+            p = screen_points[r]
+            lines.append(
+                f'<text class="point-label" x="{_fmt6(p[0] + 5.0)}" '
+                f'y="{_fmt6(p[1] + 3.0)}" font-size="10" '
+                f'fill="#222222">{_text(entity.id)}</text>'
+            )
+
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

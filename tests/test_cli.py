@@ -425,6 +425,19 @@ class TestConsoleScript:
         )
         assert result.stdout.strip() == "[]"
 
+    def test_pipeline_loads_no_numpy_ma(self, tmp_path):
+        table_csv = tmp_path / "fixture.csv"
+        table_csv.write_text(synthetic_csv(), encoding="utf-8")
+        probe = (
+            "import sys; from coda_atlas.cli import main; "
+            f"code = main(['pipeline', {str(table_csv)!r}, '-o', {str(tmp_path / 'out')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == "0 []"
+
     def test_fixture_module_runs_without_runpy_warning(self, tmp_path):
         out = tmp_path / "fixture.csv"
         result = subprocess.run(

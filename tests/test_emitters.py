@@ -1,0 +1,299 @@
+"""Whole-array report writers against the per-cell writers they replaced.
+
+Every writer must give the oracle's bytes exactly, and the oracle's error
+for a non-finite number.
+"""
+
+import xml.etree.ElementTree as ET
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from coda_atlas import (
+    Entity,
+    Part,
+    RatioDefinition,
+    RenderOptions,
+    clr_matrix,
+    fit_biplot,
+    make_link,
+    rank_along_link,
+    render_biplot,
+    synthetic_table,
+    validate_table,
+)
+from coda_atlas import _fmt
+from coda_atlas._fmt import check_finite, dumps_json, fill_rows, fmt_rows
+from coda_atlas.biplot import RankingResult, model_to_json, ranking_csv
+from coda_atlas.composition import ClrMatrix
+from coda_atlas.ingest import DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog, serialize_table
+from coda_atlas.render import _project
+
+from conftest import make_table
+from oracles import (
+    per_cell_clr_csv,
+    per_cell_dumps_json,
+    per_cell_ranking_csv,
+    per_cell_serialize_table,
+    per_element_svg,
+)
+
+#: finite doubles that format unusually: signed zero, subnormals, extremes
+SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+           1.7976931348623157e308, 0.1, 1e16, 123456789.0, -1e-5)
+finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+positive = st.one_of(
+    st.sampled_from((5e-324, 2.2250738585072014e-308, 1e300, 1.0, 0.1, 1e16)),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+)
+#: ids and labels that csv must quote, escape or carry through
+awkward_text = st.text(
+    alphabet=st.sampled_from(list('ab,"\n\r é€日 ;\'%')), min_size=1, max_size=8
+)
+block_rows = st.sampled_from((1, 2, 3, 1024))
+
+
+def matrices(elements, max_rows=12, max_cols=6):
+    return st.integers(1, max_rows).flatmap(
+        lambda n: st.integers(1, max_cols).flatmap(
+            lambda k: st.lists(
+                st.lists(elements, min_size=k, max_size=k), min_size=n, max_size=n
+            )
+        )
+    )
+
+
+def test_percent_g_equals_format_on_random_bit_patterns():
+    bits = np.random.default_rng(4).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)].tolist() + list(SPECIAL)
+    assert [x for x in values if "%.17g" % x != format(x, ".17g")] == []
+
+
+class TestArrayFormatter:
+    @given(matrices(finite), block_rows)
+    @settings(max_examples=200, deadline=None)
+    @example(rows=[[-0.0, 5e-324, 1e300]], block=1)
+    def test_clr_csv_matches_per_cell(self, rows, block):
+        values = np.array(rows, dtype=float)
+        n, k = values.shape
+        clr = ClrMatrix(
+            values=values,
+            parts=tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial")
+                        for d in range(k)),
+            entity_ids=tuple(f"e{r}" for r in range(n)),
+        )
+        with patch.object(_fmt, "_BLOCK_ROWS", block):
+            assert clr_csv(clr) == per_cell_clr_csv(clr)
+
+    @given(matrices(finite, max_rows=6, max_cols=4), st.data(), block_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_cell_gives_the_per_cell_error(self, rows, data, block):
+        values = np.array(rows, dtype=float)
+        cells = data.draw(
+            st.lists(st.tuples(st.integers(0, values.shape[0] - 1),
+                               st.integers(0, values.shape[1] - 1)),
+                     min_size=1, max_size=3)
+        )
+        for r, c in cells:
+            values[r, c] = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        clr = ClrMatrix(
+            values=values,
+            parts=tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial")
+                        for d in range(values.shape[1])),
+            entity_ids=tuple(f"e{r}" for r in range(values.shape[0])),
+        )
+        with pytest.raises(ValueError) as expected:
+            per_cell_clr_csv(clr)
+        with patch.object(_fmt, "_BLOCK_ROWS", block), pytest.raises(ValueError) as got:
+            clr_csv(clr)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("non-finite value in report output: ")
+
+    def test_check_finite_follows_row_major_order_in_views(self):
+        values = np.zeros((3, 3))
+        values[0, 2] = np.inf
+        values[1, 0] = np.nan
+        check_finite(values[:1, :2])
+        with pytest.raises(ValueError, match="output: inf$"):
+            check_finite(values)
+        for view in (values[:, :2], values.T):  # the inf is outside, or later
+            with pytest.raises(ValueError, match="output: nan$"):
+                check_finite(view)
+
+    def test_fill_rows_mixes_text_float_and_integer_columns(self):
+        text = fill_rows("%s|%.3f|%.1f|%d\n", ["a%s", "b"], np.array([[1.0, 2.0], [-0.0, 5.5]]),
+                         np.array([7, 8]))
+        assert text == "a%s|1.000|2.0|7\nb|-0.000|5.5|8\n"
+        assert fill_rows("%s\n", []) == ""
+        assert fmt_rows([], np.empty((0, 3))) == ""
+
+
+class TestSerializeTable:
+    @given(st.data(), block_rows)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell_csv_writer(self, data, block):
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(2, 4))
+        values = np.array(data.draw(st.lists(st.lists(positive, min_size=k, max_size=k),
+                                             min_size=n, max_size=n)))
+        ids = data.draw(st.lists(awkward_text, min_size=n, max_size=n, unique=True))
+        labels = data.draw(st.lists(st.one_of(st.just(""), awkward_text), min_size=n, max_size=n))
+        sectors = data.draw(st.lists(awkward_text, min_size=n, max_size=n))
+        parts = [Part(index=d, name=f"p,{d}", unit="unitless", role="financial")
+                 for d in range(k)]
+        entities = [Entity(id=i, label=lab, sector_code=s)
+                    for i, lab, s in zip(ids, labels, sectors)]
+        table = validate_table(values, parts, entities)
+        with patch.object(_fmt, "_BLOCK_ROWS", block):
+            assert serialize_table(table) == per_cell_serialize_table(table)
+
+    def test_fixture_matches_per_cell_csv_writer(self):
+        table = synthetic_table()
+        assert serialize_table(table) == per_cell_serialize_table(table)
+
+
+def _ranking(scores, exact):
+    ids = tuple(f"g{r:02d}" for r in range(len(scores)))
+    order = sorted(range(len(ids)), key=lambda r: (-scores[r], ids[r]))
+    return RankingResult(
+        link=None, ordering=tuple(ids[r] for r in order),
+        scores=np.array(scores, dtype=float), exact_log_ratios=np.array(exact, dtype=float),
+        fidelity=1.0, rank_agreement=1.0, entity_ids=ids,
+    )
+
+
+class TestRankingCsv:
+    @given(st.lists(st.tuples(finite, finite), min_size=0, max_size=30), block_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cell(self, pairs, block):
+        result = _ranking([s for s, _ in pairs], [e for _, e in pairs])
+        with patch.object(_fmt, "_BLOCK_ROWS", block):
+            assert ranking_csv(result) == per_cell_ranking_csv(result)
+
+    def test_fitted_links_match_per_cell(self, rng):
+        table = make_table(np.exp(rng.normal(size=(500, 6))))
+        model = fit_biplot(clr_matrix(table), k=2)
+        for i, j in ((0, 1), (2, 5), (4, 3)):
+            result = rank_along_link(model, make_link(model, i, j))
+            assert ranking_csv(result) == per_cell_ranking_csv(result)
+
+    @pytest.mark.parametrize("bad", [(3, "score", np.nan), (0, "exact", -np.inf), (7, "score", np.inf)])
+    def test_non_finite_value_gives_the_per_cell_error(self, bad):
+        scores, exact = list(np.linspace(1.0, 0.1, 10)), list(np.linspace(-1.0, 1.0, 10))
+        row, column, value = bad
+        (scores if column == "score" else exact)[row] = value
+        exact[9] = np.nan  # a later bad cell must not be the one reported
+        result = _ranking(scores, exact)
+        with pytest.raises(ValueError) as expected:
+            per_cell_ranking_csv(result)
+        with pytest.raises(ValueError) as got:
+            ranking_csv(result)
+        assert str(got.value) == str(expected.value)
+
+
+json_scalars = st.one_of(
+    finite, st.integers(-10**20, 10**20), st.booleans(), st.none(),
+    st.text(max_size=6), st.sampled_from((np.float64(0.1), np.int64(-3), np.bool_(True))),
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(finite, min_size=1, max_size=6),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumpsJson:
+    @given(json_docs)
+    @settings(max_examples=300, deadline=None)
+    @example(doc=[1e308, 1e308])
+    @example(doc={"coords": [-0.0, 5e-324, 1e300], "é\n": "日\"", "k": [1, 2.5, True]})
+    def test_matches_per_cell(self, doc):
+        assert dumps_json(doc) == per_cell_dumps_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[1.0, np.nan], [np.inf, 2.0], {"a": [0.5, -np.inf, np.nan]}, [1e308, 1e308, np.inf],
+         [np.float64(np.nan)]],
+    )
+    def test_non_finite_float_gives_the_per_cell_error(self, doc):
+        with pytest.raises(ValueError) as expected:
+            per_cell_dumps_json(doc)
+        with pytest.raises(ValueError) as got:
+            dumps_json(doc)
+        assert str(got.value) == str(expected.value)
+
+    def test_model_document_matches_per_cell(self, rng):
+        model = fit_biplot(clr_matrix(make_table(np.exp(rng.normal(size=(300, 7))))), k=3)
+        doc = {
+            "alpha": model.alpha,
+            "k": model.k,
+            "singular_values": [float(s) for s in model.singular_values],
+            "explained": [float(e) for e in model.explained],
+            "column_means": [float(c) for c in model.column_means],
+            "points": [{"id": eid, "coords": [float(x) for x in model.points[r]]}
+                       for r, eid in enumerate(model.entity_ids)],
+            "rays": [{"part": name, "coords": [float(x) for x in model.rays[d]]}
+                     for d, name in enumerate(model.part_names)],
+        }
+        assert model_to_json(model) == per_cell_dumps_json(doc)
+
+
+def _render_case(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    names = list(DEFAULT_PART_SCHEMA)
+    ids = [f"e{r}&<{r}>" if r % 3 == 0 else f"e{r}" for r in range(n)]
+    sectors = [("101X", "102X", "A&B", "Z")[r % 4] for r in range(n)]
+    values = np.exp(rng.normal(scale=2.0, size=(n, len(names))))
+    table = make_table(values, ids=ids, sectors=sectors, part_names=names)
+    return table, fit_biplot(clr_matrix(table), alpha=float(rng.uniform()), k=2)
+
+
+class TestRenderBiplot:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 60),
+        st.sampled_from((0, 1, 5)),
+        st.booleans(),
+        block_rows,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_element(self, seed, n, links, label_points, block):
+        table, model = _render_case(seed, n)
+        names = tuple(r.name for r in default_ratio_catalog())
+        options = RenderOptions(show_links=names[:links], label_points=label_points)
+        with patch.object(_fmt, "_BLOCK_ROWS", block):
+            assert render_biplot(model, table, options) == per_element_svg(model, table, options)
+
+    @pytest.mark.parametrize("label_points", [True, False])
+    def test_large_table_matches_per_element(self, label_points):
+        table, model = _render_case(9, 3000)
+        names = tuple(r.name for r in default_ratio_catalog())
+        options = RenderOptions(show_links=names, label_points=label_points, width=640)
+        assert render_biplot(model, table, options) == per_element_svg(model, table, options)
+
+    def test_tick_feet_round_like_one_dot_per_point(self, rng):
+        points = rng.normal(scale=300.0, size=(20_000, 2))
+        origin, u = rng.normal(scale=100.0, size=2), rng.normal(size=2)
+        u /= np.hypot(u[0], u[1])
+        expected = [float(np.dot(p - origin, u)) for p in points]
+        assert _project(points, origin, u).tolist() == expected
+
+    def test_ratio_name_with_quotes_is_escaped_in_the_attribute(self):
+        table = synthetic_table()
+        model = fit_biplot(clr_matrix(table), k=2)
+        name = 'a"b\'<&'
+        options = RenderOptions(
+            show_links=(name,),
+            ratio_catalog=(RatioDefinition(name, "total_assets", "total_liabilities"),),
+        )
+        root = ET.fromstring(render_biplot(model, table, options))
+        groups = [el for el in root.iter() if el.get("class") == "link-group"]
+        assert [el.get("data-ratio") for el in groups] == [name]

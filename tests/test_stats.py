@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coda_atlas import RatioDefinition, describe, outlier_count, skewness
 from coda_atlas.errors import EmptyInput, NonFiniteStatistic, TooFewValues, ZeroVariance
 from coda_atlas.stats import (
+    _linear_quantiles,
     describe_csv,
     pathology_json,
     pathology_report,
@@ -23,6 +24,16 @@ from oracles import linear_quantile
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60
 )
+#: samples with many ties, extreme magnitudes and n = 1 and 2
+tied_samples = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 1.0 + 2**-52, 3.0, -2.5, 5e-324, 1e300, -1e300]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+QUANTILES = [0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.9, 1 / 3]
 
 
 class TestDescribe:
@@ -111,6 +122,37 @@ class TestSkewness:
         if not math.isfinite(expected):
             return
         assert skewness(values) == pytest.approx(expected, rel=1e-8, abs=1e-8)
+
+
+class TestLinearQuantiles:
+    @given(tied_samples)
+    @settings(max_examples=400)
+    def test_equals_numpy_quantile_exactly(self, values):
+        v = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.quantile(v, QUANTILES, method="linear")
+            got = _linear_quantiles(v, QUANTILES)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "values", [[2.0], [2.0, 7.0], [7.0, 2.0], [1.0, 1.0], [np.nan, 1.0, 2.0], [np.inf, 1.0]]
+    )
+    def test_small_and_non_finite_samples_equal_numpy(self, values):
+        v = np.array(values)
+        with np.errstate(invalid="ignore"):
+            expected = np.quantile(v, QUANTILES, method="linear")
+            got = _linear_quantiles(v, QUANTILES)
+        np.testing.assert_array_equal(got, expected)
+
+    @given(tied_samples.filter(lambda v: len(v) >= 4))
+    @settings(max_examples=150)
+    def test_outlier_fences_equal_numpy_quantile_fences(self, values):
+        v = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q1, q3 = np.quantile(v, [0.25, 0.75], method="linear")
+            iqr = q3 - q1
+            expected = int(np.count_nonzero((v < q1 - 1.5 * iqr) | (v > q3 + 1.5 * iqr)))
+            assert outlier_count(values) == expected
 
 
 class TestOutlierCount:
