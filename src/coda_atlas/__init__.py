@@ -37,6 +37,7 @@ from .composition import (
     aitchison_distance,
     clr,
     clr_matrix,
+    default_ratio_catalog,
     geometric_mean,
     log_ratio_series,
     named_ratio,
@@ -50,7 +51,6 @@ from .ingest import (
     DEFAULT_PART_SCHEMA,
     IngestConfig,
     UnitRegistry,
-    default_ratio_catalog,
     parse_table,
     serialize_table,
     table_config,

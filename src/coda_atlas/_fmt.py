@@ -8,6 +8,12 @@ so the cost is the float formatting itself and never a Python call per
 cell. Finiteness is checked once per array (:func:`check_finite`), and a
 non-finite cell raises the same error as :func:`fmt_float` would for it.
 
+Text in CSV reports (ids, labels, sector codes, part names) follows one
+quoting rule, :func:`csv_fields`: csv's QUOTE_MINIMAL, which wraps a field
+that holds ``,``, ``"``, ``\r`` or ``\n`` in double quotes and doubles its
+quotes. (Before Python 3.13, ``csv.writer`` with a ``"\n"`` terminator
+leaves a bare ``\r`` unquoted, which breaks the line for any reader.)
+
 The stdlib ``json`` module cannot format floats that way, hence the small
 emitter below; string escaping is delegated back to ``json``'s own encoder.
 """
@@ -22,6 +28,29 @@ import numpy as np
 
 #: rows formatted per block; bounds the Python objects alive at any time
 _BLOCK_ROWS = 1024
+
+#: the characters that make a CSV field need quotes
+_QUOTED_CHARS = ',"\r\n'
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in _QUOTED_CHARS)
+
+
+def csv_fields(texts: Sequence[str]) -> Sequence[str]:
+    """Each text as one CSV field, quoted where needed.
+
+    One scan of the joined texts decides; when none needs quotes, ``texts``
+    itself is returned, so the common case costs no call per text.
+    """
+    if not _needs_quotes("".join(texts)):
+        return texts
+    return ['"%s"' % t.replace('"', '""') if _needs_quotes(t) else t for t in texts]
+
+
+def csv_line(fields: Sequence[str]) -> str:
+    """One CSV line of text fields, quoted where needed, ending in newline."""
+    return ",".join(csv_fields(fields)) + "\n"
 
 
 def fmt_float(x: float) -> str:

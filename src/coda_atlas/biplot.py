@@ -34,7 +34,7 @@ from .errors import (
     SvdFailure,
     TooFewRows,
 )
-from ._fmt import check_finite, dumps_json, fill_rows
+from ._fmt import check_finite, csv_fields, dumps_json, fill_rows
 
 #: Relative spread below which a score/log-ratio series counts as constant.
 _CONSTANT_RTOL = 1e-12
@@ -344,5 +344,5 @@ def ranking_csv(result: RankingResult) -> str:
     values = np.column_stack((result.scores[rows], result.exact_log_ratios[rows]))
     check_finite(values)
     ranks = np.arange(1, len(rows) + 1)
-    body = fill_rows("%s,%.17g,%.17g,%d\n", result.ordering, values, ranks)
+    body = fill_rows("%s,%.17g,%.17g,%d\n", csv_fields(result.ordering), values, ranks)
     return "entity_id,score,exact_log_ratio,rank\n" + body

@@ -10,13 +10,14 @@ Every subcommand reads one staged run, ``_Analysis``, whose stages (config
 -> table -> clr -> model -> links) are built on first use and then kept. A
 subcommand is a function from the run to ``{file name: content}``, and
 ``pipeline`` is their union plus the manifest, so each artifact is built by
-one piece of code and equals ``pipeline``'s file of the same name.
+one piece of code and equals ``pipeline``'s file of the same name. ``main``
+writes whatever a subcommand returns through one writer, all files or none,
+and prints their paths.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import cached_property
 
@@ -29,10 +30,12 @@ from .cluster import (
     merge_history_json,
     profiles_json,
 )
-from .composition import clr_matrix, resolvable_ratios
-from .errors import CodaError, InvalidOptions, IoFailure, UnknownRatio
+from .composition import clr_matrix, find_ratio, resolvable_ratios
+from .errors import CodaError, InvalidOptions, IoFailure
 from ._fmt import dumps_json
-from .ingest import IngestConfig, clr_csv, parse_table, serialize_table, write_reports
+from .ingest import (
+    IngestConfig, clr_csv, parse_table, serialize_table, with_manifest, write_outputs,
+)
 from .render import RenderOptions, render_biplot
 from .stats import describe_csv, pathology_json, pathology_report, summarize_table
 
@@ -81,11 +84,9 @@ class _Analysis:
     def link(self, name: str):
         """The link of catalog ratio ``name``."""
         table = self.table
-        by_name = {r.name: r for r in self.config.ratio_catalog}
-        if name not in by_name:
-            raise UnknownRatio(name)
+        definition = find_ratio(self.config.ratio_catalog, name)
         model = self.model
-        i, j = by_name[name].resolve(table)
+        i, j = definition.resolve(table)
         return make_link(model, i, j, label=name)
 
 
@@ -163,7 +164,7 @@ def _pipeline(run: _Analysis) -> dict[str, str]:
     # model first: a failed fit is reported before any report's own error
     for build in (_biplot, _describe, _diagnose, _clr, _rank, _cluster, _render):
         outputs.update(build(run))
-    return outputs
+    return with_manifest(outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,19 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        outputs = args.build(_Analysis(args))
-        if args.build is _pipeline:
-            manifest = write_reports(outputs, args.out)
-            for entry in manifest["files"]:
-                print(os.path.join(args.out, entry["name"]))
-            print(os.path.join(args.out, "manifest.json"))
-        else:
-            for name, content in outputs.items():
-                os.makedirs(args.out, exist_ok=True)
-                path = os.path.join(args.out, name)
-                with open(path, "w", encoding="utf-8", newline="") as handle:
-                    handle.write(content)
-                print(path)
+        for path in write_outputs(args.build(_Analysis(args)), args.out):
+            print(path)
         return 0
     except CodaError as exc:
         print(exc.record(), file=sys.stderr)

@@ -23,17 +23,19 @@ the merge. That is about O(n^2) time in practice and O(n^3) at worst; on a
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._fmt import csv_fields, fill_rows
 from .composition import (
     ClrMatrix,
     IndicatorTable,
     RatioDefinition,
     clr_matrix,
+    default_ratio_catalog,
+    duplicated,
     resolvable_ratios,
 )
 from .errors import (
@@ -64,9 +66,9 @@ class DistanceMatrix:
         n = len(self.ids)
         if v.shape != (n, n):
             raise DimensionMismatch(f"matrix {v.shape} for {n} ids")
-        if len(set(self.ids)) != n:
-            counts = Counter(self.ids)
-            raise DuplicateEntityId(",".join(sorted(x for x in counts if counts[x] > 1)))
+        dup = duplicated(self.ids)
+        if dup:
+            raise DuplicateEntityId(",".join(dup))
         # checked in row blocks, so temporaries stay at _DISTANCE_BLOCK_ROWS x n
         rows = range(0, n, _DISTANCE_BLOCK_ROWS)
         blocks = [slice(r, r + _DISTANCE_BLOCK_ROWS) for r in rows]
@@ -297,8 +299,6 @@ def cluster_profile(
     c = clr_matrix(table).values
     z = c - c.mean(axis=0)
     if ratios is None:
-        from .ingest import default_ratio_catalog
-
         ratios = resolvable_ratios(table, default_ratio_catalog())
 
     row_of = {eid: r for r, eid in enumerate(table.entity_ids)}
@@ -326,10 +326,9 @@ def cluster_profile(
 
 def assignment_csv(assignment: ClusterAssignment) -> str:
     """CSV rendering: entity_id,cluster_label (entity ids in sorted order)."""
-    lines = ["entity_id,cluster_label"]
-    for eid in sorted(assignment.labels):
-        lines.append(f"{eid},{assignment.labels[eid]}")
-    return "\n".join(lines) + "\n"
+    ids = sorted(assignment.labels)
+    labels = [assignment.labels[eid] for eid in ids]
+    return "entity_id,cluster_label\n" + fill_rows("%s,%s\n", csv_fields(ids), labels)
 
 
 def merge_history_json(assignment: ClusterAssignment) -> dict:

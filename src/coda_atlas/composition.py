@@ -13,6 +13,7 @@ read-only), so instances can be shared across threads freely.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .errors import (
     NonPositiveValue,
     SamePart,
     UnknownPart,
+    UnknownRatio,
 )
 
 PART_ROLES = ("financial", "environmental", "social")
@@ -120,6 +122,40 @@ class RatioDefinition:
         return table.part_index(self.numerator), table.part_index(self.denominator)
 
 
+def default_ratio_catalog() -> tuple[RatioDefinition, ...]:
+    """The five built-in named ratios over the default part layout."""
+    return (
+        RatioDefinition(
+            "solvency", "total_assets", "total_liabilities",
+            "total assets over total liabilities",
+        ),
+        RatioDefinition(
+            "energy_intensity", "energy_consumption", "net_revenue",
+            "energy consumed per million EUR of revenue",
+        ),
+        RatioDefinition(
+            "water_intensity", "water_consumption", "net_revenue",
+            "water consumed per million EUR of revenue",
+        ),
+        RatioDefinition(
+            "waste_intensity", "waste_generation", "net_revenue",
+            "waste generated per million EUR of revenue",
+        ),
+        RatioDefinition(
+            "gender_employment_gap", "male_employees", "female_employees",
+            "male employees per female employee",
+        ),
+    )
+
+
+def find_ratio(catalog: Sequence[RatioDefinition], name: str) -> RatioDefinition:
+    """The definition called ``name`` in ``catalog``; UnknownRatio if none is."""
+    for definition in catalog:
+        if definition.name == name:
+            return definition
+    raise UnknownRatio(name)
+
+
 def resolvable_ratios(
     table: IndicatorTable, catalog: Sequence[RatioDefinition]
 ) -> tuple[RatioDefinition, ...]:
@@ -147,6 +183,12 @@ class ClrMatrix:
     @property
     def part_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parts)
+
+
+def duplicated(items: Sequence) -> list:
+    """The items that occur more than once, sorted; one pass over ``items``."""
+    counts = Counter(items)
+    return sorted(item for item, count in counts.items() if count > 1)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -192,13 +234,11 @@ def validate_table(
     if D < 2:
         raise DimensionMismatch(f"need at least 2 parts, got {D}")
 
-    names = [p.name for p in parts]
-    if len(set(names)) != len(names):
-        dup = sorted({x for x in names if names.count(x) > 1})
+    dup = duplicated([p.name for p in parts])
+    if dup:
         raise DuplicatePartName(",".join(dup))
-    ids = [e.id for e in entities]
-    if len(set(ids)) != len(ids):
-        dup = sorted({x for x in ids if ids.count(x) > 1})
+    dup = duplicated([e.id for e in entities])
+    if dup:
         raise DuplicateEntityId(",".join(dup))
 
     parts = tuple(replace(p, index=i) for i, p in enumerate(parts))
@@ -265,10 +305,12 @@ def named_ratio(table: IndicatorTable, definition: RatioDefinition) -> np.ndarra
     """Raw ratio values numerator/denominator, one per entity.
 
     Units are those implied by the two parts' canonical units (e.g. MWh per
-    MM EUR for an energy intensity).
+    MM EUR for an energy intensity). A quotient beyond float64 is inf, with
+    no warning; callers that need finite ratios check for it.
     """
     i, j = definition.resolve(table)
-    return table.values[:, i] / table.values[:, j]
+    with np.errstate(over="ignore"):
+        return table.values[:, i] / table.values[:, j]
 
 
 def log_ratio_series(table: IndicatorTable, definition: RatioDefinition) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""CSV ingestion, unit harmonization, the ratio catalog and report writing.
+"""CSV ingestion, unit harmonization and report writing.
 
 Input tables arrive as CSV with a fixed header prefix (id, label,
 sector_code) followed by one column per part. Cells are parsed per locale
@@ -8,12 +8,14 @@ through the configured zero strategy and finally validated into an
 IndicatorTable.
 
 All numeric output uses point decimals with 17 significant digits, which
-round-trips IEEE doubles exactly; report writing produces a manifest of
+round-trips IEEE doubles exactly. Every report file is written by one
+writer, :func:`write_outputs`, all or none; ``pipeline`` adds a manifest of
 content hashes so reruns can be compared byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -25,13 +27,15 @@ from typing import Mapping
 
 import numpy as np
 
-from ._fmt import dumps_json, fmt_rows
+from ._fmt import csv_fields, csv_line, dumps_json, fmt_rows
 from .composition import (
     ClrMatrix,
     Entity,
     IndicatorTable,
     Part,
     RatioDefinition,
+    default_ratio_catalog,
+    duplicated,
     replace_zeros,
     validate_table,
 )
@@ -127,32 +131,6 @@ class UnitRegistry:
         raise UnknownUnit(f"unit {unit!r} is not registered")
 
 
-def default_ratio_catalog() -> tuple[RatioDefinition, ...]:
-    """The five built-in named ratios over the default part layout."""
-    return (
-        RatioDefinition(
-            "solvency", "total_assets", "total_liabilities",
-            "total assets over total liabilities",
-        ),
-        RatioDefinition(
-            "energy_intensity", "energy_consumption", "net_revenue",
-            "energy consumed per million EUR of revenue",
-        ),
-        RatioDefinition(
-            "water_intensity", "water_consumption", "net_revenue",
-            "water consumed per million EUR of revenue",
-        ),
-        RatioDefinition(
-            "waste_intensity", "waste_generation", "net_revenue",
-            "waste generated per million EUR of revenue",
-        ),
-        RatioDefinition(
-            "gender_employment_gap", "male_employees", "female_employees",
-            "male employees per female employee",
-        ),
-    )
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -226,8 +204,8 @@ class IngestConfig:
         for name in names:
             if not (isinstance(name, str) and _RATIO_NAME.fullmatch(name)):
                 raise InvalidOptions(f"ratio name {name!r} is not [A-Za-z0-9_.-]+")
-        if len(set(names)) != len(names):
-            dup = sorted({x for x in names if names.count(x) > 1})
+        dup = duplicated(names)
+        if dup:
             raise InvalidOptions(f"duplicate ratio names: {dup}")
         self._zero_mode()  # validates
         registry = self.registry()
@@ -406,27 +384,18 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
     return validate_table(raw, parts, entities)
 
 
-class _Echo:
-    """A file whose write returns its text, so csv writerow returns the line."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
 def serialize_table(table: IndicatorTable) -> str:
     """Render a table as CSV in canonical units and point-decimal notation.
 
     Values use 17 significant digits, so parse(serialize(t)) reproduces t
     exactly (pass table_config(t) when t uses non-default part names).
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "label", "sector_code"] + list(table.part_names))
-    # csv quotes id, label and sector code; the values never need quoting
-    line = csv.writer(_Echo(), lineterminator="\n").writerow
-    prefixes = [line([e.id, e.label, e.sector_code])[:-1] for e in table.entities]
-    return buffer.getvalue() + fmt_rows(prefixes, table.values)
+    header = csv_line(["id", "label", "sector_code", *table.part_names])
+    ids = csv_fields([e.id for e in table.entities])
+    labels = csv_fields([e.label for e in table.entities])
+    sectors = csv_fields([e.sector_code for e in table.entities])
+    prefixes = [f"{i},{label},{sector}" for i, label, sector in zip(ids, labels, sectors)]
+    return header + fmt_rows(prefixes, table.values)
 
 
 def table_config(table: IndicatorTable) -> IngestConfig:
@@ -447,34 +416,65 @@ def table_config(table: IndicatorTable) -> IngestConfig:
 
 def clr_csv(clr: ClrMatrix) -> str:
     """CSV rendering of a CLR matrix: id column plus one column per part."""
-    header = ",".join(["id"] + [p.name for p in clr.parts]) + "\n"
-    return header + fmt_rows(clr.entity_ids, clr.values)
+    header = csv_line(["id", *clr.part_names])
+    return header + fmt_rows(csv_fields(clr.entity_ids), clr.values)
+
+
+def with_manifest(outputs: Mapping[str, str | bytes]) -> dict:
+    """The outputs in name order, then manifest.json: name, sha256, size of each.
+
+    Each output is encoded and hashed on its own, so at most one encoded
+    copy is alive at a time.
+    """
+    names = sorted(outputs)
+    entries = []
+    for name in names:
+        blob = _encode(outputs[name])
+        entries.append(
+            {"name": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+        )
+    manifest = dumps_json({"files": entries})
+    return {**{name: outputs[name] for name in names}, "manifest.json": manifest}
+
+
+def write_outputs(outputs: Mapping[str, str | bytes], directory: str) -> list[str]:
+    """Write each output to ``directory/name``, all or none; return the paths.
+
+    Every output goes to a temporary file in the directory first, one at a
+    time; only when all are written are they renamed over their names, in
+    order. A failed write leaves the previous files as they were and no
+    temporary file behind, and raises IoFailure. No outputs create nothing,
+    not even the directory.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        if outputs:
+            os.makedirs(directory, exist_ok=True)
+        for name, content in outputs.items():
+            temp = os.path.join(directory, f".{name}.tmp")
+            staged.append((temp, os.path.join(directory, name)))
+            with open(temp, "wb") as handle:
+                handle.write(_encode(content))
+        for temp, path in staged:
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise IoFailure(f"cannot write reports to {directory!r}: {exc}") from exc
+    return [path for _, path in staged]
 
 
 def write_reports(outputs: Mapping[str, str | bytes], directory: str) -> dict:
-    """Write report files plus a manifest.json of name, sha256 and size.
+    """Write report files in name order plus a manifest.json, all or none.
 
     Returns the manifest document. Writing the same outputs twice yields
     byte-identical files and manifest.
     """
-    try:
-        os.makedirs(directory, exist_ok=True)
-        entries = []
-        for name in sorted(outputs):
-            content = outputs[name]
-            blob = content.encode("utf-8") if isinstance(content, str) else content
-            with open(os.path.join(directory, name), "wb") as handle:
-                handle.write(blob)
-            entries.append(
-                {
-                    "name": name,
-                    "sha256": hashlib.sha256(blob).hexdigest(),
-                    "bytes": len(blob),
-                }
-            )
-        manifest = {"files": entries}
-        with open(os.path.join(directory, "manifest.json"), "wb") as handle:
-            handle.write(dumps_json(manifest).encode("utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write reports to {directory!r}: {exc}") from exc
-    return manifest
+    outputs = with_manifest(outputs)
+    write_outputs(outputs, directory)
+    return json.loads(outputs["manifest.json"])
+
+
+def _encode(content: str | bytes) -> bytes:
+    return content.encode("utf-8") if isinstance(content, str) else content

@@ -23,27 +23,16 @@ import numpy as np
 
 from ._fmt import fill_rows
 from .biplot import BiplotModel, make_link
-from .composition import IndicatorTable, RatioDefinition
+from .composition import IndicatorTable, RatioDefinition, default_ratio_catalog, find_ratio
 from .errors import (
     DegenerateBox,
     DegenerateLink,
     InvalidOptions,
     MismatchedEntities,
     NonFiniteValue,
-    UnknownRatio,
     UnknownSector,
     UnsupportedRank,
 )
-from .ingest import default_ratio_catalog
-
-
-def _escape(text: str) -> str:
-    """Escape &, < and > for text nodes, like xml.sax.saxutils.escape.
-
-    Attribute values use html_escape itself, which escapes quotes too.
-    """
-    return html_escape(text, quote=False)
-
 
 #: fixed 10-color cycle for sectors without an explicit palette entry
 COLOR_CYCLE = (
@@ -176,17 +165,38 @@ def sector_colors(
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
-#: per-entity elements, filled whole-array by _rows
-_TICK_ROW = (
-    '<line class="tick" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="#999999" '
-    'stroke-width="1"/>'
+#: the document from its root element through the axis labels, filled once:
+#: the axes cross at the origin (ox, oy), and each axis label sits 6 px in
+#: from its axis end
+_HEAD = (
+    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+    'width="%(width)s" height="%(height)s" viewBox="0 0 %(width)s %(height)s">\n'
+    "<title>CLR biplot</title>\n"
+    '<rect class="background" x="0" y="0" width="%(width)s" height="%(height)s" '
+    'fill="#ffffff"/>\n'
+    '<g class="axes" stroke="#cccccc" stroke-width="1">\n'
+    '<line class="axis" x1="0.000000" y1="%(oy).6f" x2="%(width).6f" y2="%(oy).6f"/>\n'
+    '<line class="axis" x1="%(ox).6f" y1="0.000000" x2="%(ox).6f" y2="%(height).6f"/>\n'
+    "</g>\n"
+    '<text class="axis-label" x="%(pc1_x).6f" y="%(pc1_y).6f" text-anchor="end" '
+    'font-size="12" fill="#555555">PC1 (%(pc1).1f%%)</text>\n'
+    '<text class="axis-label" x="%(pc2_x).6f" y="12.000000" text-anchor="start" '
+    'font-size="12" fill="#555555">PC2 (%(pc2).1f%%)</text>\n'
 )
-_POINT_ROW = f'<circle class="point" cx="%.6f" cy="%.6f" r="{_fmt(_POINT_RADIUS)}" fill="%s"/>'
-_LABEL_ROW = '<text class="point-label" x="%.6f" y="%.6f" font-size="10" fill="#222222">%s</text>'
+#: the elements below are filled whole-array, one row per part, link or entity
+_RAY = '<line class="ray" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>\n'
+_RAY_LABEL = '<text class="ray-label" x="%.6f" y="%.6f" font-size="11" fill="#444444">%s</text>\n'
+_LINK = (
+    '<g class="link-group" data-ratio="%s">\n'
+    '<line class="link" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="#999999" '
+    'stroke-width="1" stroke-dasharray="4 3"/>\n'
+)
+_TICK = (
+    '<line class="tick" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="#999999" '
+    'stroke-width="1"/>\n'
+)
+_POINT = '<circle class="point" cx="%%.6f" cy="%%.6f" r="%.6f" fill="%%s"/>\n' % _POINT_RADIUS
+_LABEL = '<text class="point-label" x="%.6f" y="%.6f" font-size="10" fill="#222222">%s</text>\n'
 
 
 def _project(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -196,11 +206,6 @@ def _project(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarra
     a plain elementwise sum can differ from it in the last bit.
     """
     return np.matmul((points - origin)[:, None, :], u[:, None])[:, 0, 0]
-
-
-def _rows(row: str, *columns) -> str:
-    """One element per row, newline-separated like the rest of the document."""
-    return fill_rows(row + "\n", *columns).removesuffix("\n")
 
 
 def render_biplot(
@@ -234,68 +239,27 @@ def render_biplot(
     screen_rays = transform.apply(data_rays)
     origin = transform.apply(np.zeros(2))
 
-    catalog = {r.name: r for r in options.ratio_catalog}
     links = []
     for name in options.show_links:
-        if name not in catalog:
-            raise UnknownRatio(name)
-        definition = catalog[name]
-        i, j = definition.resolve(table)
+        i, j = find_ratio(options.ratio_catalog, name).resolve(table)
         link = make_link(model, i, j, label=name)
         if link.degenerate:
             raise DegenerateLink(f"ratio {name!r}: ray extremes coincide")
         links.append((name, i, j))
 
-    lines: list[str] = []
-    lines.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{options.width}" height="{options.height}" '
-        f'viewBox="0 0 {options.width} {options.height}">'
+    head = _HEAD % dict(
+        width=options.width, height=options.height, ox=origin[0], oy=origin[1],
+        pc1_x=options.width - 6.0, pc1_y=origin[1] - 6.0, pc1=model.explained[0] * 100.0,
+        pc2_x=origin[0] + 6.0, pc2=model.explained[1] * 100.0,
     )
-    lines.append("<title>CLR biplot</title>")
-    lines.append(
-        f'<rect class="background" x="0" y="0" width="{options.width}" '
-        f'height="{options.height}" fill="#ffffff"/>'
-    )
-
-    pc1 = f"PC1 ({model.explained[0] * 100.0:.1f}%)"
-    pc2 = f"PC2 ({model.explained[1] * 100.0:.1f}%)"
-    lines.append('<g class="axes" stroke="#cccccc" stroke-width="1">')
-    lines.append(
-        f'<line class="axis" x1="{_fmt(0.0)}" y1="{_fmt(origin[1])}" '
-        f'x2="{_fmt(float(options.width))}" y2="{_fmt(origin[1])}"/>'
-    )
-    lines.append(
-        f'<line class="axis" x1="{_fmt(origin[0])}" y1="{_fmt(0.0)}" '
-        f'x2="{_fmt(origin[0])}" y2="{_fmt(float(options.height))}"/>'
-    )
-    lines.append("</g>")
-    lines.append(
-        f'<text class="axis-label" x="{_fmt(options.width - 6.0)}" '
-        f'y="{_fmt(origin[1] - 6.0)}" text-anchor="end" font-size="12" '
-        f'fill="#555555">{_escape(pc1)}</text>'
-    )
-    lines.append(
-        f'<text class="axis-label" x="{_fmt(origin[0] + 6.0)}" y="{_fmt(12.0)}" '
-        f'text-anchor="start" font-size="12" fill="#555555">{_escape(pc2)}</text>'
-    )
-
-    lines.append('<g class="rays" stroke="#444444" stroke-width="1.5">')
-    for d, name in enumerate(model.part_names):
-        tip = screen_rays[d]
-        lines.append(
-            f'<line class="ray" x1="{_fmt(origin[0])}" y1="{_fmt(origin[1])}" '
-            f'x2="{_fmt(tip[0])}" y2="{_fmt(tip[1])}"/>'
-        )
-    lines.append("</g>")
-    for d, name in enumerate(model.part_names):
-        tip = screen_rays[d]
-        lines.append(
-            f'<text class="ray-label" x="{_fmt(tip[0] + 4.0)}" '
-            f'y="{_fmt(tip[1] - 4.0)}" font-size="11" '
-            f'fill="#444444">{_escape(name)}</text>'
-        )
-
+    part_names = [html_escape(name, quote=False) for name in model.part_names]
+    blocks = [
+        head,
+        '<g class="rays" stroke="#444444" stroke-width="1.5">\n',
+        fill_rows(_RAY, np.broadcast_to(origin, screen_rays.shape), screen_rays),
+        "</g>\n",
+        fill_rows(_RAY_LABEL, screen_rays + np.array([4.0, -4.0]), part_names),
+    ]
     for name, i, j in links:
         a, b = screen_rays[i], screen_rays[j]
         gap = b - a
@@ -309,22 +273,16 @@ def render_biplot(
         start, end = a + t_lo * u, a + t_hi * u
         feet = a + feet_t[:, None] * u
         offset = _TICK_HALF_LENGTH * normal
-        lines.append(f'<g class="link-group" data-ratio="{html_escape(name)}">')
-        lines.append(
-            f'<line class="link" x1="{_fmt(start[0])}" y1="{_fmt(start[1])}" '
-            f'x2="{_fmt(end[0])}" y2="{_fmt(end[1])}" stroke="#999999" '
-            f'stroke-width="1" stroke-dasharray="4 3"/>'
-        )
-        lines.append(_rows(_TICK_ROW, np.hstack((feet - offset, feet + offset))))
-        lines.append("</g>")
+        blocks += [
+            _LINK % (html_escape(name), *start, *end),
+            fill_rows(_TICK, np.hstack((feet - offset, feet + offset))),
+            "</g>\n",
+        ]
 
-    lines.append('<g class="points">')
     fills = [colors[entity.sector_code] for entity in table.entities]
-    lines.append(_rows(_POINT_ROW, screen_points, fills))
-    lines.append("</g>")
+    blocks += ['<g class="points">\n', fill_rows(_POINT, screen_points, fills), "</g>\n"]
     if options.label_points:
-        ids = [_escape(entity.id) for entity in table.entities]
-        lines.append(_rows(_LABEL_ROW, screen_points + np.array([5.0, 3.0]), ids))
-
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        ids = [html_escape(entity.id, quote=False) for entity in table.entities]
+        blocks.append(fill_rows(_LABEL, screen_points + np.array([5.0, 3.0]), ids))
+    blocks.append("</svg>\n")
+    return "".join(blocks)

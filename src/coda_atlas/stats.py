@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fmt import fmt_float
+from ._fmt import csv_fields, fmt_rows
 from .composition import (
     IndicatorTable,
     RatioDefinition,
@@ -209,11 +209,11 @@ def pathology_report(
 
 def describe_csv(summaries: Sequence[DescriptiveSummary]) -> str:
     """CSV rendering with columns name,n,mean,sd,min,q1,median,q3,max."""
-    lines = ["name,n,mean,sd,min,q1,median,q3,max"]
-    for s in summaries:
-        fields = [s.mean, s.sd, s.minimum, s.q1, s.median, s.q3, s.maximum]
-        lines.append(",".join([s.name, str(s.n)] + [fmt_float(x) for x in fields]))
-    return "\n".join(lines) + "\n"
+    names = csv_fields([s.name for s in summaries])
+    prefixes = [f"{name},{s.n}" for name, s in zip(names, summaries)]
+    values = [[s.mean, s.sd, s.minimum, s.q1, s.median, s.q3, s.maximum] for s in summaries]
+    body = fmt_rows(prefixes, np.reshape(values, (-1, 7)))
+    return "name,n,mean,sd,min,q1,median,q3,max\n" + body
 
 
 def pathology_json(report: PathologyReport) -> dict:
@@ -239,12 +239,16 @@ def summarize_table(
     """Summaries of every part column followed by every resolvable ratio.
 
     Ratios whose parts are missing from the table are skipped silently (the
-    pathology report is the place that flags them).
+    pathology report is the place that flags them). A ratio whose value
+    overflows float64 for some entity raises NonFiniteStatistic naming it.
     """
     out = [
         describe(table.values[:, d], name=part.name)
         for d, part in enumerate(table.parts)
     ]
     for definition in resolvable_ratios(table, ratio_defs):
-        out.append(describe(named_ratio(table, definition), name=definition.name))
+        ratio = named_ratio(table, definition)
+        if not np.isfinite(ratio).all():
+            raise NonFiniteStatistic(f"column={definition.name},statistic=ratio")
+        out.append(describe(ratio, name=definition.name))
     return out

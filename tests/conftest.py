@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,35 @@ def random_table(rng: np.random.Generator, n: int, D: int):
     """Random positive table with log-uniform values over [1e-3, 1e6]."""
     logs = rng.uniform(np.log(1e-3), np.log(1e6), size=(n, D))
     return make_table(np.exp(logs))
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fail_nth_open(monkeypatch, module, n: int) -> None:
+    """Make the n-th ``open`` call in ``module`` fail as a full disk would."""
+    calls = []
+
+    def failing_open(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == n:
+            raise OSError(28, "No space left on device", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(module, "open", failing_open, raising=False)
 
 
 @pytest.fixture(autouse=True)

@@ -17,17 +17,18 @@ These deliberately avoid the library calls they are checking:
 * ``pairwise_kendall_tau_b`` counts concordant, discordant and tied pairs
   one pair at a time, the O(n^2) definition behind the merge-count tau-b.
 * ``per_cell_serialize_table``, ``per_cell_clr_csv``,
-  ``per_cell_ranking_csv``, ``per_cell_dumps_json`` and
+  ``per_cell_ranking_csv``, ``per_cell_describe_csv``,
+  ``per_cell_assignment_csv``, ``per_cell_dumps_json`` and
   ``per_element_svg`` are the report writers as they were before the
-  whole-array formatter: one Python call per number. The production
-  writers must reproduce their bytes exactly, errors included.
+  whole-array formatter: one Python call per number. The CSV ones write
+  every line through ``csv.writer``. The production writers must
+  reproduce their bytes exactly, errors included.
 """
 
 from __future__ import annotations
 
 import csv
 import html
-import io
 import json
 import math
 from itertools import combinations
@@ -206,35 +207,53 @@ def pairwise_kendall_tau_b(x, y) -> float:
     return (concordant - discordant) / math.sqrt((pairs - tied_x) * (pairs - tied_y))
 
 
+class _Line:
+    """A file whose write returns its text, so csv writerow returns the line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+#: csv's QUOTE_MINIMAL; a "\r\n" terminator makes it quote a bare "\r" on
+#: every Python version, which the reports do too
+_csv_writerow = csv.writer(_Line(), lineterminator="\r\n").writerow
+
+
+def csv_line(fields) -> str:
+    """One line through csv.writer, ending in "\n"."""
+    return _csv_writerow(fields)[:-2] + "\n"
+
+
 def per_cell_serialize_table(table) -> str:
-    """Table CSV with every row, numbers included, through one csv writer."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "label", "sector_code"] + list(table.part_names))
+    """Table CSV with every row, numbers included, through csv.writer."""
+    lines = [csv_line(["id", "label", "sector_code"] + list(table.part_names))]
     for r, entity in enumerate(table.entities):
-        writer.writerow(
-            [entity.id, entity.label, entity.sector_code]
-            + [fmt_float(v) for v in table.values[r]]
+        lines.append(
+            csv_line(
+                [entity.id, entity.label, entity.sector_code]
+                + [fmt_float(v) for v in table.values[r]]
+            )
         )
-    return buffer.getvalue()
+    return "".join(lines)
 
 
 def per_cell_clr_csv(clr) -> str:
     """CLR CSV, one fmt_float call per cell."""
-    lines = [",".join(["id"] + [p.name for p in clr.parts])]
+    lines = [csv_line(["id"] + [p.name for p in clr.parts])]
     for r, eid in enumerate(clr.entity_ids):
-        lines.append(",".join([eid] + [fmt_float(v) for v in clr.values[r]]))
-    return "\n".join(lines) + "\n"
+        lines.append(csv_line([eid] + [fmt_float(v) for v in clr.values[r]]))
+    return "".join(lines)
 
 
 def per_cell_ranking_csv(result) -> str:
     """Ranking CSV, looked up and formatted one row at a time."""
     pos = {eid: r for r, eid in enumerate(result.entity_ids)}
-    lines = ["entity_id,score,exact_log_ratio,rank"]
+    lines = ["entity_id,score,exact_log_ratio,rank\n"]
     for rank, eid in enumerate(result.ordering, start=1):
         r = pos[eid]
         lines.append(
-            ",".join(
+            csv_line(
                 [
                     eid,
                     fmt_float(float(result.scores[r])),
@@ -243,7 +262,24 @@ def per_cell_ranking_csv(result) -> str:
                 ]
             )
         )
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
+
+
+def per_cell_describe_csv(summaries) -> str:
+    """Summary CSV, one fmt_float call per statistic."""
+    lines = ["name,n,mean,sd,min,q1,median,q3,max\n"]
+    for s in summaries:
+        fields = [s.mean, s.sd, s.minimum, s.q1, s.median, s.q3, s.maximum]
+        lines.append(csv_line([s.name, str(s.n)] + [fmt_float(x) for x in fields]))
+    return "".join(lines)
+
+
+def per_cell_assignment_csv(assignment) -> str:
+    """Cluster assignment CSV, one line per entity id in sorted order."""
+    lines = ["entity_id,cluster_label\n"]
+    for eid in sorted(assignment.labels):
+        lines.append(csv_line([eid, f"{assignment.labels[eid]}"]))
+    return "".join(lines)
 
 
 def _emit(obj, indent, level, out):

@@ -1,18 +1,28 @@
 """Command-line interface: exit codes, artifacts, flag handling."""
 
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coda_atlas import IngestConfig, RatioDefinition, synthetic_csv
+from coda_atlas import ingest
 from coda_atlas.cli import main
 
-from oracles import brute_force_ranking
+from conftest import fail_nth_open
+from oracles import brute_force_ranking, csv_line
 
 RANK_HEADER = "id,label,sector_code,net_revenue,total_assets,total_liabilities"
 RANK_ROWS = [
@@ -228,6 +238,40 @@ class TestNumericRange:
             "ratio": "solvency", "status": "not_applicable", "reason": "NonFiniteStatistic",
         }
 
+    @pytest.fixture
+    def overflow_csv(self, tmp_path):
+        # energy 1e150 over revenue 1e-160: both parts are finite, but the
+        # energy_intensity ratio of that row overflows float64
+        header, *rows = synthetic_csv().splitlines()
+        columns = header.split(",")
+        cells = rows[0].split(",")
+        cells[columns.index("energy_consumption")] = "1e150"
+        cells[columns.index("net_revenue")] = "1e-160"
+        rows[0] = ",".join(cells)
+        path = tmp_path / "overflow.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("subcommand", ["describe", "pipeline"])
+    def test_overflowing_ratio_is_one_error_record(
+        self, subcommand, overflow_csv, tmp_path, capsys
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([subcommand, overflow_csv, "-o", str(tmp_path / "reports")]) == 1
+        err = capsys.readouterr().err
+        assert err == "NonFiniteStatistic:column=energy_intensity,statistic=ratio\n"
+
+    def test_diagnose_runs_silently_on_an_overflowing_ratio(self, overflow_csv, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["diagnose", overflow_csv, "-o", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        entries = json.loads((out_dir / "pathology.json").read_text())["ratios"]
+        intensity = next(e for e in entries if e["ratio"] == "energy_intensity")
+        assert intensity["status"] == "not_applicable"
+
 
 class TestConfigFlag:
     def test_eu_locale_config_changes_parsing(self, tmp_path, capsys):
@@ -403,6 +447,88 @@ class TestPipeline:
         capsys.readouterr()
         manifest = json.loads((tmp_path / "pipeline" / "manifest.json").read_text())
         assert written == {entry["name"] for entry in manifest["files"]} - {"table.csv"}
+
+
+SUBCOMMAND_RUNS = [
+    ["describe"], ["diagnose"], ["clr"], ["biplot"], ["rank", "--ratio", "solvency"],
+    ["cluster"], ["render"], ["pipeline"],
+]
+
+
+class TestReportFiles:
+    @pytest.mark.parametrize("run", SUBCOMMAND_RUNS, ids=lambda run: run[0])
+    def test_write_failure_is_one_io_record(self, run, table_csv, tmp_path, capsys):
+        blocker = tmp_path / "occupied"
+        blocker.write_text("a file, not a directory")
+        out_dir = str(blocker / "reports")
+        assert main([run[0], table_csv, *run[1:], "-o", out_dir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"IoFailure:cannot write reports to {out_dir!r}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_validate_creates_no_directory(self, table_csv, tmp_path, capsys):
+        assert main(["validate", table_csv, "-o", str(tmp_path / "absent")]) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "absent").exists()
+
+    def test_failed_pipeline_leaves_the_previous_run_untouched(
+        self, table_csv, tmp_path, capsys, monkeypatch
+    ):
+        out_dir = tmp_path / "reports"
+        assert main(["pipeline", table_csv, "-o", str(out_dir)]) == 0
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        other = tmp_path / "other.csv"
+        other.write_text(synthetic_csv())
+        fail_nth_open(monkeypatch, ingest, 3)
+        assert main(["pipeline", str(other), "-o", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("IoFailure:cannot write reports to ")
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+#: text that CSV must quote: a comma, a quote or a line break inside a field
+_csv_text = st.text(alphabet=st.sampled_from(list('ab,"\r\n é')), min_size=1, max_size=6).filter(
+    lambda text: text == text.strip()
+)
+
+
+class TestCsvQuoting:
+    @given(st.lists(_csv_text, min_size=1, max_size=6, unique=True), _csv_text)
+    @settings(max_examples=25, deadline=None)
+    def test_pipeline_csvs_parse_to_constant_width_and_keep_ids(self, ids, part_name):
+        header, *rows = synthetic_csv().splitlines()
+        lines = [csv_line(header.split(",") + [part_name])]
+        all_ids = []
+        for k, row in enumerate(rows):
+            cells = row.split(",") + [str(1.5 + k)]
+            if k < len(ids):
+                cells[0] = ids[k]
+            all_ids.append(cells[0])
+            lines.append(csv_line(cells))
+        with tempfile.TemporaryDirectory() as work:
+            table = Path(work, "table.csv")
+            table.write_bytes("".join(lines).encode("utf-8"))
+            out_dir = Path(work, "reports")
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                assert main(["pipeline", str(table), "-o", str(out_dir)]) == 0
+            assert stderr.getvalue() == ""
+            parsed = {}
+            for path in out_dir.glob("*.csv"):
+                text = path.read_bytes().decode("utf-8")
+                parsed[path.name] = list(csv.reader(io.StringIO(text, newline="")))
+        for name, csv_rows in parsed.items():
+            assert len({len(row) for row in csv_rows}) == 1, name
+        assert [row[0] for row in parsed["table.csv"][1:]] == all_ids
+        assert [row[0] for row in parsed["clr.csv"][1:]] == all_ids
+        assert parsed["clr.csv"][0][-1] == part_name
+        assert [row[0] for row in parsed["clusters.csv"][1:]] == sorted(all_ids)
+        assert part_name in [row[0] for row in parsed["describe.csv"]]
+        rankings = [name for name in parsed if name.startswith("rankings_")]
+        assert len(rankings) == 5
+        for name in rankings:
+            assert sorted(row[0] for row in parsed[name][1:]) == sorted(all_ids)
 
 
 class TestConsoleScript:

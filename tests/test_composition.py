@@ -37,7 +37,7 @@ from coda_atlas.errors import (
     UnknownPart,
 )
 
-from conftest import make_table
+from conftest import make_table, time_limit
 
 positive_rows = st.lists(
     st.floats(min_value=1e-3, max_value=1e6), min_size=2, max_size=12
@@ -154,6 +154,22 @@ class TestValidateTable:
             make_table([[1.0, 2.0], [3.0, 4.0]], ids=["a", "a"])
         with pytest.raises(DuplicatePartName):
             make_table([[1.0, 2.0]], part_names=["x", "x"])
+
+    def test_one_duplicate_among_60k_ids_is_reported_within_seconds(self):
+        n = 60_000
+        ids = [f"e{r:05d}" for r in range(n)]
+        ids[-1] = ids[7]
+        entities = [Entity(id=eid, label="", sector_code="s") for eid in ids]
+        parts = [
+            Part(index=0, name="a", unit="unitless", role="financial"),
+            Part(index=1, name="b", unit="unitless", role="financial"),
+        ]
+        with time_limit(5.0), pytest.raises(DuplicateEntityId, match="^e00007$"):
+            validate_table(np.ones((n, 2)), parts, entities)
+
+    def test_duplicates_are_named_once_in_sorted_order(self):
+        with pytest.raises(DuplicateEntityId, match="^a,c$"):
+            make_table(np.ones((5, 2)), ids=["c", "a", "b", "a", "c"])
 
     def test_parts_reindexed_and_values_frozen(self):
         parts = [

@@ -26,15 +26,20 @@ from coda_atlas import (
     validate_table,
 )
 from coda_atlas import _fmt
-from coda_atlas._fmt import check_finite, dumps_json, fill_rows, fmt_rows
+from coda_atlas._fmt import check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_rows
 from coda_atlas.biplot import RankingResult, model_to_json, ranking_csv
+from coda_atlas.cluster import ClusterAssignment, assignment_csv
 from coda_atlas.composition import ClrMatrix
 from coda_atlas.ingest import DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog, serialize_table
 from coda_atlas.render import _project
+from coda_atlas.stats import DescriptiveSummary, describe_csv
 
 from conftest import make_table
+import oracles
 from oracles import (
+    per_cell_assignment_csv,
     per_cell_clr_csv,
+    per_cell_describe_csv,
     per_cell_dumps_json,
     per_cell_ranking_csv,
     per_cell_serialize_table,
@@ -130,6 +135,64 @@ class TestArrayFormatter:
         assert text == "a%s|1.000|2.0|7\nb|-0.000|5.5|8\n"
         assert fill_rows("%s\n", []) == ""
         assert fmt_rows([], np.empty((0, 3))) == ""
+
+
+class TestCsvQuoting:
+    @given(st.lists(st.one_of(st.just(""), awkward_text), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example(texts=["\r", "a\rb", '"', "", "x"])
+    def test_fields_are_quoted_as_csv_writer_quotes_them(self, texts):
+        # each text beside a plain field, since csv quotes a lone empty field
+        expected = [oracles.csv_line([text, "x"])[: -len(",x\n")] for text in texts]
+        assert list(csv_fields(texts)) == expected
+        assert csv_line(texts + ["x"]) == oracles.csv_line(texts + ["x"])
+
+    def test_texts_that_need_no_quotes_come_back_unchanged(self):
+        texts = ("e1", "a b", "é;'%", "")
+        assert csv_fields(texts) is texts
+
+
+class TestDescribeCsv:
+    @given(
+        st.lists(st.tuples(st.one_of(st.just(""), awkward_text), st.integers(0, 10**9),
+                           st.lists(finite, min_size=7, max_size=7)), max_size=12),
+        block_rows,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell(self, rows, block):
+        summaries = [DescriptiveSummary(name, n, *stats) for name, n, stats in rows]
+        with patch.object(_fmt, "_BLOCK_ROWS", block):
+            assert describe_csv(summaries) == per_cell_describe_csv(summaries)
+
+    @given(
+        st.lists(st.lists(finite, min_size=7, max_size=7), min_size=1, max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_statistic_gives_the_per_cell_error(self, rows, data):
+        rows = [list(row) for row in rows]
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = data.draw(st.sampled_from(rows))
+            bad = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+            row[data.draw(st.integers(0, 6))] = bad
+        summaries = [DescriptiveSummary(f"s{k}", 3, *stats) for k, stats in enumerate(rows)]
+        with pytest.raises(ValueError) as expected:
+            per_cell_describe_csv(summaries)
+        with pytest.raises(ValueError) as got:
+            describe_csv(summaries)
+        assert str(got.value) == str(expected.value)
+
+
+class TestAssignmentCsv:
+    @given(
+        st.dictionaries(st.one_of(st.just(""), awkward_text), st.integers(1, 50), max_size=20),
+        block_rows,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell(self, labels, block):
+        assignment = ClusterAssignment(labels=labels, linkage="single", cut={}, merge_history=())
+        with patch.object(_fmt, "_BLOCK_ROWS", block):
+            assert assignment_csv(assignment) == per_cell_assignment_csv(assignment)
 
 
 class TestSerializeTable:

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import coda_atlas
 from coda_atlas import (
     IngestConfig,
+    RatioDefinition,
     UnitRegistry,
     clr_matrix,
     default_ratio_catalog,
@@ -17,7 +19,8 @@ from coda_atlas import (
     table_config,
     write_reports,
 )
-from coda_atlas.ingest import clr_csv
+from coda_atlas import composition, ingest
+from coda_atlas.ingest import clr_csv, write_outputs
 from coda_atlas.errors import (
     DuplicateEntityId,
     EmptyInput,
@@ -28,7 +31,7 @@ from coda_atlas.errors import (
     UnknownUnit,
 )
 
-from conftest import make_table
+from conftest import fail_nth_open, make_table
 
 HEADER = "id,label,sector_code,net_revenue,energy_consumption"
 
@@ -144,6 +147,10 @@ class TestRatioCatalog:
         }
         assert len(catalog) == 5
 
+    def test_one_catalog_importable_from_three_places(self):
+        assert ingest.default_ratio_catalog is composition.default_ratio_catalog
+        assert coda_atlas.default_ratio_catalog is composition.default_ratio_catalog
+
 
 class TestIngestConfig:
     def test_rejects_unknown_locale(self):
@@ -180,6 +187,12 @@ class TestIngestConfig:
         )
         again = IngestConfig.from_json(config.to_json())
         assert again == config
+
+    def test_duplicate_ratio_names_are_listed_once(self):
+        catalog = tuple(RatioDefinition(name, "a", "b") for name in "yxyxzy")
+        with pytest.raises(InvalidOptions) as err:
+            IngestConfig(ratio_catalog=catalog)
+        assert err.value.record() == "InvalidOptions:duplicate ratio names: ['x', 'y']"
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(InvalidOptions):
@@ -326,6 +339,28 @@ class TestReports:
 
     def test_empty_outputs_give_empty_manifest(self, tmp_path):
         assert write_reports({}, str(tmp_path)) == {"files": []}
+
+    def test_failure_on_the_third_file_leaves_the_last_run_in_place(self, tmp_path, monkeypatch):
+        out = tmp_path / "reports"
+        write_reports({"a.csv": "old a\n", "b.csv": "old b\n", "c.csv": "old c\n"}, str(out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        fail_nth_open(monkeypatch, ingest, 3)
+        new = {"a.csv": "new a\n", "b.csv": "new b\n", "c.csv": "new c\n", "d.csv": "new d\n"}
+        with pytest.raises(IoFailure) as err:
+            write_reports(new, str(out))
+        assert err.value.record().startswith(f"IoFailure:cannot write reports to {str(out)!r}: ")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_outputs_are_written_in_order_and_replace_old_files(self, tmp_path):
+        (tmp_path / "b.txt").write_text("stale")
+        paths = write_outputs({"b.txt": "two", "a.txt": b"one"}, str(tmp_path))
+        assert paths == [str(tmp_path / "b.txt"), str(tmp_path / "a.txt")]
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+        assert (tmp_path / "b.txt").read_text() == "two"
+
+    def test_no_outputs_create_no_directory(self, tmp_path):
+        assert write_outputs({}, str(tmp_path / "absent")) == []
+        assert not (tmp_path / "absent").exists()
 
     def test_unwritable_directory_raises(self, tmp_path):
         blocker = tmp_path / "occupied"
