@@ -107,15 +107,30 @@ def fmt_rows(prefixes: Sequence[str], values) -> str:
     return fill_rows("%s" + ",%.17g" * values.shape[1] + "\n", prefixes, values)
 
 
-def _emit_floats(items: list, child_pad: str, pad: str, out: list[str]) -> None:
+def _check_floats(items: list) -> None:
     # the sum of finite floats is finite unless it overflows, and any inf or
     # nan makes it non-finite: only the overflow case needs the cell checks
     if not math.isfinite(sum(items)):
         for x in items:
             fmt_float(x)
+
+
+def _emit_floats(items: list, child_pad: str, pad: str, out: list[str]) -> None:
+    _check_floats(items)
     sep = ",\n" + child_pad
     out.append("[\n" + child_pad + sep.join(["%.17g"] * len(items)) % tuple(items))
     out.append("\n" + pad + "]")
+
+
+def _emit_float_dict(obj: dict, child_pad: str, pad: str, out: list[str]) -> None:
+    values = list(obj.values())
+    _check_floats(values)
+    args = [None] * (2 * len(values))
+    args[0::2] = [encode_basestring_ascii(str(key)) for key in obj]
+    args[1::2] = values
+    sep = ",\n" + child_pad
+    out.append("{\n" + child_pad + sep.join(["%s: %.17g"] * len(values)) % tuple(args))
+    out.append("\n" + pad + "}")
 
 
 def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
@@ -126,6 +141,9 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
+            return
+        if all(type(x) is float for x in obj.values()):
+            _emit_float_dict(obj, child_pad, pad, out)
             return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
@@ -164,8 +182,8 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
 def dumps_json(obj: Any, indent: int = 2) -> str:
     """Serialize to JSON with deterministic key order and .17g floats.
 
-    A list of plain floats is formatted in one pass; any other value is
-    emitted item by item.
+    A list of plain floats, or a dict whose values are all plain floats, is
+    formatted in one pass; any other value is emitted item by item.
     """
     out: list[str] = []
     _emit(obj, indent, 0, out)

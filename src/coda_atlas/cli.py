@@ -23,10 +23,9 @@ from functools import cached_property
 
 from .biplot import fit_biplot, make_link, model_to_json, rank_along_link, ranking_csv
 from .cluster import (
+    _cluster_clr,
     assignment_csv,
     cluster_profile,
-    distance_matrix,
-    hierarchical_cluster,
     merge_history_json,
     profiles_json,
 )
@@ -129,8 +128,8 @@ def _cluster(run: _Analysis) -> dict[str, str]:
     args = run.args
     if args.clusters is not None and args.threshold is not None:
         raise InvalidOptions("--clusters and --threshold are mutually exclusive")
-    assignment = hierarchical_cluster(
-        distance_matrix(run.clr),
+    assignment = _cluster_clr(
+        run.clr,
         linkage=args.linkage,
         n_clusters=args.clusters,
         threshold=args.threshold,

@@ -324,7 +324,11 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
                 line=1, column=1, token="", reason=f"not UTF-8: {exc.reason}"
             ) from exc
 
-    rows = list(csv.reader(io.StringIO(data)))
+    reader = csv.reader(io.StringIO(data))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(line=reader.line_num, column=1, token="", reason=str(exc)) from exc
     if not rows:
         raise EmptyInput("no CSV content")
     header = [cell.strip() for cell in rows[0]]

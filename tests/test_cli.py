@@ -83,6 +83,14 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("NegativeValue:")
 
+    def test_csv_reader_error_exits_one_with_one_record(self, tmp_path, capsys):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"id,label,sector_code,a,b\ncr\rid,x,s,1,2\n")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError:line=2,column=1,token='',reason=")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestValidate:
     def test_reports_shape_sectors_and_parts(self, table_csv, capsys):

@@ -1,11 +1,17 @@
 """Aitchison-distance clustering: merging, cuts, tie-breaks, profiles."""
 
+import io
 import itertools
 import math
+import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coda_atlas import (
     DistanceMatrix,
@@ -14,7 +20,10 @@ from coda_atlas import (
     cluster_profile,
     distance_matrix,
     hierarchical_cluster,
+    parse_table,
 )
+from coda_atlas._fmt import dumps_json
+from coda_atlas.cli import main
 from coda_atlas.cluster import (
     _DISTANCE_BLOCK_ROWS,
     LINKAGES,
@@ -22,6 +31,7 @@ from coda_atlas.cluster import (
     merge_history_json,
     profiles_json,
 )
+from coda_atlas.ingest import DEFAULT_PART_SCHEMA
 from coda_atlas.errors import (
     DimensionMismatch,
     DuplicateEntityId,
@@ -73,6 +83,32 @@ def integer_grid_metric(rng, n, far=None):
         d[d > far] = np.inf
     ids = tuple(f"q{k:02d}" for k in rng.permutation(n))
     return DistanceMatrix(ids=ids, values=d)
+
+
+def table_text(values, ids) -> str:
+    """CSV of a positive table; parts are the default layout's, then u1, u2, ..."""
+    names = list(DEFAULT_PART_SCHEMA)[: values.shape[1]]
+    names += [f"u{k}" for k in range(1, values.shape[1] - len(names) + 1)]
+    lines = ["id,label,sector_code," + ",".join(names)]
+    for eid, row in zip(ids, values.tolist()):
+        lines.append(f"{eid},Entity {eid},101X," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+def descending_ids(n):
+    """Unique ids whose sorted order is the reverse of the row order."""
+    return [f"k{n - r:04d}" for r in range(n)]
+
+
+def cli_outputs(text: str, *argv: str) -> dict[str, str]:
+    """The files ``coda-atlas <argv> table.csv`` writes for this table."""
+    with tempfile.TemporaryDirectory() as work:
+        table = Path(work, "table.csv")
+        table.write_text(text)
+        out = Path(work, "out")
+        with redirect_stdout(io.StringIO()):
+            assert main([argv[0], str(table), *argv[1:], "-o", str(out)]) == 0
+        return {path.name: path.read_text() for path in out.iterdir()}
 
 
 def brute_force_merges(dist: DistanceMatrix, linkage: str):
@@ -134,10 +170,12 @@ class TestDistanceMatrix:
         for a, b, c in itertools.combinations(range(n), 3):
             assert d[a, c] <= d[a, b] + d[b, c] + 1e-9
 
+    # below, at and past one block, and tables of many blocks whose last
+    # block is short (63), full (64) or a single row (65, 129)
     @pytest.mark.parametrize(
         "n",
         [_DISTANCE_BLOCK_ROWS - 1, _DISTANCE_BLOCK_ROWS, _DISTANCE_BLOCK_ROWS + 1,
-         2 * _DISTANCE_BLOCK_ROWS + 1],
+         2 * _DISTANCE_BLOCK_ROWS + 1, 63, 64, 65, 129],
     )
     def test_row_blocks_equal_full_tensor(self, rng, n):
         for D in (3, 8, 32):
@@ -167,10 +205,12 @@ class TestDistanceMatrix:
         with pytest.raises(DuplicateEntityId, match="^a$"):
             hierarchical_cluster(DistanceMatrix(ids=("a", "a", "b"), values=values), **cut)
 
-    @pytest.mark.parametrize("row", [_DISTANCE_BLOCK_ROWS, 2 * _DISTANCE_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize(
+        "row", [_DISTANCE_BLOCK_ROWS, 2 * _DISTANCE_BLOCK_ROWS + 3, 64, 131]
+    )
     def test_defects_past_the_first_row_block_rejected(self, rng, row):
         # both (row, col) and (col, row) lie outside the first row block
-        n, col = 2 * _DISTANCE_BLOCK_ROWS + 5, _DISTANCE_BLOCK_ROWS + 1
+        n, col = 133, _DISTANCE_BLOCK_ROWS + 1
         ids = tuple(f"e{k:03d}" for k in range(n))
         good = distance_matrix(clr_matrix(random_table(rng, n, 4))).values
         asymmetric = good.copy()
@@ -199,6 +239,72 @@ class TestDistanceMatrix:
             tracemalloc.stop()
         # a whole-matrix check builds several n x n temporaries (2.9 MB each)
         assert peak < 16 * _DISTANCE_BLOCK_ROWS * n * 8
+
+
+class TestOwnedMatrixPath:
+    """The CLI computes distances straight into the merge's working matrix."""
+
+    @pytest.mark.parametrize("n", [5, 3 * _DISTANCE_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_cli_files_equal_the_public_path(self, rng, n, linkage):
+        text = table_text(np.exp(rng.normal(size=(n, 9))), descending_ids(n))
+        table = parse_table(text)
+        dist = distance_matrix(clr_matrix(table))
+        middle = hierarchical_cluster(dist, linkage=linkage).merge_history[n // 2][2]
+        cuts = [
+            ([], {}),
+            (["--clusters", "3"], {"n_clusters": 3}),
+            (["--threshold", repr(middle)], {"threshold": middle}),
+        ]
+        for flags, cut in cuts:
+            assignment = hierarchical_cluster(dist, linkage=linkage, **cut)
+            profiles = cluster_profile(table, assignment)
+            expected = {
+                "clusters.csv": assignment_csv(assignment),
+                "merges.json": dumps_json(merge_history_json(assignment)),
+                "cluster_profiles.json": dumps_json(profiles_json(profiles, table.part_names)),
+            }
+            assert cli_outputs(text, "cluster", "--linkage", linkage, *flags) == expected
+
+    @pytest.mark.parametrize("flags", [[], ["--clusters", "5"], ["--threshold", "-1"]])
+    def test_one_row_is_too_few_rows_before_any_cut_error(self, tmp_path, capsys, flags):
+        path = tmp_path / "one.csv"
+        path.write_text(table_text(np.array([[1.0, 2.0, 3.0]]), ["k0"]))
+        assert main(["cluster", str(path), *flags, "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "TooFewRows:distance matrix needs n >= 2, got 1\n"
+
+    def test_cli_cluster_holds_one_n_by_n_matrix(self, rng, tmp_path, capsys):
+        n = 2000
+        path = tmp_path / "table.csv"
+        path.write_text(table_text(np.exp(rng.normal(size=(n, 32))), descending_ids(n)))
+        tracemalloc.start()
+        try:
+            assert main(["cluster", str(path), "-o", str(tmp_path / "out")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        # a DistanceMatrix next to the merge's sorted copy is already 2 n^2 * 8
+        assert peak <= 1.3 * n * n * 8
+
+    @given(
+        st.integers(3, 40), st.integers(2, 10), st.sampled_from(LINKAGES),
+        st.integers(0, 2**32 - 1), st.booleans(), st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reordering_rows_changes_no_cluster_file(self, n, D, linkage, seed, ties, data):
+        rng = np.random.default_rng(seed)
+        values = np.exp(rng.normal(size=(n, D)))
+        if ties:
+            values[1:3] = values[0]
+        ids = descending_ids(n)
+        perm = data.draw(st.permutations(range(n)))
+        texts = [table_text(values, ids), table_text(values[perm], [ids[p] for p in perm])]
+        cluster = [cli_outputs(text, "cluster", "--linkage", linkage) for text in texts]
+        assert cluster[0] == cluster[1]
+        assert sorted(cluster[0]) == ["cluster_profiles.json", "clusters.csv", "merges.json"]
+        clr = [cli_outputs(text, "clr")["clr.csv"].splitlines(keepends=True) for text in texts]
+        assert clr[1] == clr[0][:1] + [clr[0][1 + p] for p in perm]
 
 
 class TestHierarchicalCluster:

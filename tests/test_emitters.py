@@ -18,7 +18,10 @@ from coda_atlas import (
     RatioDefinition,
     RenderOptions,
     clr_matrix,
+    cluster_profile,
+    distance_matrix,
     fit_biplot,
+    hierarchical_cluster,
     make_link,
     rank_along_link,
     render_biplot,
@@ -28,7 +31,7 @@ from coda_atlas import (
 from coda_atlas import _fmt
 from coda_atlas._fmt import check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_rows
 from coda_atlas.biplot import RankingResult, model_to_json, ranking_csv
-from coda_atlas.cluster import ClusterAssignment, assignment_csv
+from coda_atlas.cluster import ClusterAssignment, assignment_csv, profiles_json
 from coda_atlas.composition import ClrMatrix
 from coda_atlas.ingest import DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog, serialize_table
 from coda_atlas.render import _project
@@ -268,6 +271,7 @@ json_docs = st.recursive(
         st.lists(children, max_size=5),
         st.lists(finite, min_size=1, max_size=6),
         st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.dictionaries(st.text(max_size=5), finite, min_size=1, max_size=6),
     ),
     max_leaves=30,
 )
@@ -277,6 +281,8 @@ class TestDumpsJson:
     @given(json_docs)
     @settings(max_examples=300, deadline=None)
     @example(doc=[1e308, 1e308])
+    @example(doc={"a": 1e308, "b": 1e308, "-0": -0.0, 3: 5e-324})
+    @example(doc={"k": {"x": 0.5, "y": True}, "z": {"x": 0.5, "y": np.float64(2.0)}})
     @example(doc={"coords": [-0.0, 5e-324, 1e300], "é\n": "日\"", "k": [1, 2.5, True]})
     def test_matches_per_cell(self, doc):
         assert dumps_json(doc) == per_cell_dumps_json(doc)
@@ -284,7 +290,8 @@ class TestDumpsJson:
     @pytest.mark.parametrize(
         "doc",
         [[1.0, np.nan], [np.inf, 2.0], {"a": [0.5, -np.inf, np.nan]}, [1e308, 1e308, np.inf],
-         [np.float64(np.nan)]],
+         [np.float64(np.nan)], {"a": 0.5, "b": np.nan, "c": np.inf},
+         {"x": 1e308, "y": 1e308, "z": -np.inf}, [{"a": 1.0}, {"b": np.inf}]],
     )
     def test_non_finite_float_gives_the_per_cell_error(self, doc):
         with pytest.raises(ValueError) as expected:
@@ -292,6 +299,14 @@ class TestDumpsJson:
         with pytest.raises(ValueError) as got:
             dumps_json(doc)
         assert str(got.value) == str(expected.value)
+
+    def test_singleton_cluster_profiles_match_per_cell(self, rng):
+        table = make_table(np.exp(rng.normal(size=(60, 8))), part_names=list(DEFAULT_PART_SCHEMA))
+        dist = distance_matrix(clr_matrix(table))
+        assignment = hierarchical_cluster(dist, n_clusters=59)
+        doc = profiles_json(cluster_profile(table, assignment), table.part_names)
+        assert len(doc["clusters"][0]["ratio_means"]) == 5
+        assert dumps_json(doc) == per_cell_dumps_json(doc)
 
     def test_model_document_matches_per_cell(self, rng):
         model = fit_biplot(clr_matrix(make_table(np.exp(rng.normal(size=(300, 7))))), k=3)

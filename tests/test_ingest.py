@@ -1,5 +1,7 @@
 """CSV ingestion: locales, units, config round-trips, report writing."""
 
+import csv
+import io
 import json
 import os
 
@@ -215,6 +217,15 @@ class TestParseTable:
         with pytest.raises(ParseError) as err:
             parse_table("id,label,sector,a,b\ne1,One,1011,1,2\n")
         assert (err.value.line, err.value.column) == (1, 3)
+
+    def test_csv_reader_error_is_one_parse_error(self):
+        text = "id,label,sector_code,a,b\ncr\rid,x,s,1,2\n"
+        with pytest.raises(csv.Error) as expected:
+            list(csv.reader(io.StringIO(text)))
+        with pytest.raises(ParseError) as err:
+            parse_table(text)
+        assert (err.value.line, err.value.column, err.value.token) == (2, 1, "")
+        assert err.value.reason == str(expected.value)
 
     def test_row_length_mismatch_reports_line(self):
         with pytest.raises(ParseError) as err:
