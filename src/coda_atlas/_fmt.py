@@ -29,6 +29,9 @@ import numpy as np
 #: rows formatted per block; bounds the Python objects alive at any time
 _BLOCK_ROWS = 1024
 
+#: the JSON pad added per nesting level
+_INDENT = "  "
+
 #: the characters that make a CSV field need quotes
 _QUOTED_CHARS = ',"\r\n'
 
@@ -133,9 +136,9 @@ def _emit_float_dict(obj: dict, child_pad: str, pad: str, out: list[str]) -> Non
     out.append("\n" + pad + "}")
 
 
-def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
-    pad = " " * (indent * level)
-    child_pad = " " * (indent * (level + 1))
+def _emit(obj: Any, level: int, out: list[str]) -> None:
+    pad = _INDENT * level
+    child_pad = pad + _INDENT
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
@@ -150,7 +153,7 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
             out.append(child_pad)
             out.append(encode_basestring_ascii(str(key)))
             out.append(": ")
-            _emit(value, indent, level + 1, out)
+            _emit(value, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
@@ -164,7 +167,7 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
         out.append("[\n")
         for i, value in enumerate(items):
             out.append(child_pad)
-            _emit(value, indent, level + 1, out)
+            _emit(value, level + 1, out)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -179,13 +182,13 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to report JSON")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON with deterministic key order and .17g floats.
+def dumps_json(obj: Any) -> str:
+    """Serialize to JSON: two spaces per level, deterministic key order, .17g floats.
 
     A list of plain floats, or a dict whose values are all plain floats, is
     formatted in one pass; any other value is emitted item by item.
     """
     out: list[str] = []
-    _emit(obj, indent, 0, out)
+    _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)

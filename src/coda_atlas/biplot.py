@@ -109,11 +109,11 @@ def center_columns(clr: ClrMatrix) -> tuple[np.ndarray, np.ndarray]:
     return clr.values - means, means
 
 
-def _centered_svd(clr: ClrMatrix, compute_uv: bool = True):
+def _centered_svd(clr: ClrMatrix):
     """(centered, column_means, thin SVD of centered); LAPACK failure is SvdFailure."""
     centered, means = center_columns(clr)
     try:
-        svd = np.linalg.svd(centered, full_matrices=False, compute_uv=compute_uv)
+        svd = np.linalg.svd(centered, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SvdFailure(str(exc)) from exc
     return centered, means, svd
@@ -123,9 +123,11 @@ def singular_spectrum(clr: ClrMatrix) -> np.ndarray:
     """All thin-SVD singular values of the centred CLR matrix (length min(n, D)).
 
     The production decomposition behind :func:`fit_biplot`, exposed for
-    diagnostics; the trailing values past min(n-1, D-1) are structural zeros.
+    diagnostics: its first min(n-1, D-1) values equal the model's
+    ``singular_values`` bit for bit, and the trailing ones are structural
+    zeros.
     """
-    return _centered_svd(clr, compute_uv=False)[2]
+    return _centered_svd(clr)[2][1]
 
 
 def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:

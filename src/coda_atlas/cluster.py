@@ -23,7 +23,7 @@ at n=3000. The CLI computes the distances straight into that working
 matrix, so it holds one n x n matrix; hierarchical_cluster(dist) callers
 hold two, their DistanceMatrix and the merge's sorted-id copy. At 5000x32
 (a 191 MiB matrix) `coda-atlas cluster` peaks at 259 MiB RSS and takes
-6.5 s on that VM, against 445 MiB and 10.5 s with two matrices.
+6.5 s on that VM.
 """
 
 from __future__ import annotations
@@ -261,8 +261,8 @@ def _check_cut(n: int, linkage: str, n_clusters: int | None, threshold: float | 
         raise InfeasibleCut("give either a cluster count or a threshold, not both")
     if n_clusters is not None and not 1 <= n_clusters <= n:
         raise InfeasibleCut(f"cluster count {n_clusters} not in [1, {n}]")
-    if threshold is not None and threshold < 0.0:
-        raise InfeasibleCut(f"threshold must be non-negative, got {threshold}")
+    if threshold is not None and not 0.0 <= threshold < np.inf:
+        raise InfeasibleCut(f"threshold must be finite and non-negative, got {threshold}")
 
 
 def _cluster(
@@ -357,17 +357,15 @@ def cluster_profile(
     if ratios is None:
         ratios = resolvable_ratios(table, default_ratio_catalog())
 
+    resolved = [(definition.name, *definition.resolve(table)) for definition in ratios]
     row_of = {eid: r for r, eid in enumerate(table.entity_ids)}
     profiles = []
     for label, member_ids in assignment.members().items():
         rows = [row_of[eid] for eid in member_ids]
         mean = z[rows].mean(axis=0)
-        ratio_means = {}
-        for definition in ratios:
-            i, j = definition.resolve(table)
-            ratio_means[definition.name] = float(
-                np.mean(z[rows, i] - z[rows, j])
-            )
+        ratio_means = {
+            name: float(np.mean(z[rows, i] - z[rows, j])) for name, i, j in resolved
+        }
         profiles.append(
             ClusterProfile(
                 label=label,

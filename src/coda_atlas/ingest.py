@@ -345,17 +345,9 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
     parts = []
     factors = []
     for index, name in enumerate(part_names):
-        if name in config.unit_map:
-            canonical, factor = registry.resolve(config.unit_map[name])
-            role = DEFAULT_PART_SCHEMA.get(name, (None, None))[1]
-            if role is None:
-                role = _ROLE_FOR_UNIT.get(canonical, "financial")
-        elif name in DEFAULT_PART_SCHEMA:
-            canonical, role = DEFAULT_PART_SCHEMA[name]
-            factor = 1.0
-        else:
-            canonical, factor = "unitless", 1.0
-            role = "financial"
+        schema_unit, schema_role = DEFAULT_PART_SCHEMA.get(name, ("unitless", None))
+        canonical, factor = registry.resolve(config.unit_map.get(name, schema_unit))
+        role = schema_role or _ROLE_FOR_UNIT.get(canonical, "financial")
         parts.append(Part(index=index, name=name, unit=canonical, role=role))
         factors.append(factor)
 

@@ -1,13 +1,15 @@
 """Biplot engine: SVD against an independent eigensolver, projections, rankings."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coda_atlas import (
@@ -15,10 +17,12 @@ from coda_atlas import (
     fit_biplot,
     make_link,
     model_to_json,
+    parse_table,
     rank_along_link,
     ranking_csv,
     reconstruct,
     singular_spectrum,
+    synthetic_csv,
 )
 from coda_atlas.biplot import Link, _kendall_tau_b, center_columns
 from coda_atlas.errors import (
@@ -45,6 +49,33 @@ FIXTURE_ROWS = [
 
 def fixture_clr():
     return clr_matrix(make_table(FIXTURE_ROWS))
+
+
+def perfbench_table_csv(n: int, D: int, seed: int) -> str:
+    """The benchmark's seeded synthetic table (perfbench/inputs.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.table_csv(n, D, seed)
+
+
+def log_matrices(max_n: int, max_D: int):
+    """n x D lists of natural-log cell values, n >= 3 and D >= 2."""
+    return st.integers(3, max_n).flatmap(
+        lambda n: st.integers(2, max_D).flatmap(
+            lambda D: st.lists(
+                st.lists(st.floats(-20.0, 20.0), min_size=D, max_size=D),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+
+
+def assert_spectrum_is_the_model_spectrum(clr):
+    model = fit_biplot(clr, k=1)
+    m = min(clr.n - 1, clr.D - 1)
+    assert singular_spectrum(clr)[:m].tobytes() == model.singular_values.tobytes()
 
 
 class TestCenterColumns:
@@ -82,6 +113,23 @@ class TestSingularSpectrum:
             oracle = oracle_singular_values(centered)
             assert np.max(np.abs(production - oracle)) < 1e-8 * production[0]
             assert production[-1] <= 1e-9 * production[0]
+
+    @given(log_matrices(30, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_spectrum_is_the_model_spectrum(self, logs):
+        clr = clr_matrix(make_table(np.exp(logs)))
+        try:
+            assert_spectrum_is_the_model_spectrum(clr)
+        except DegenerateVariance:
+            assume(False)
+
+    @pytest.mark.parametrize(
+        "text",
+        [synthetic_csv, lambda: perfbench_table_csv(400, 32, 7)],
+        ids=["fixture", "400x32"],
+    )
+    def test_spectrum_is_the_model_spectrum_on_shipped_tables(self, text):
+        assert_spectrum_is_the_model_spectrum(clr_matrix(parse_table(text())))
 
 
 class TestFitBiplot:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -190,6 +191,34 @@ class TestCluster:
     def test_linkage_choices_enforced(self, table_csv, capsys):
         assert main(["cluster", table_csv, "--linkage", "ward"]) == 2
         capsys.readouterr()
+
+
+class TestBadNumericFlags:
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            ("cluster --threshold nan", "InfeasibleCut"),
+            ("cluster --threshold inf", "InfeasibleCut"),
+            ("cluster --threshold -1", "InfeasibleCut"),
+            ("cluster --clusters 0", "InfeasibleCut"),
+            ("cluster --clusters 99", "InfeasibleCut"),
+            ("biplot --alpha nan", "InvalidOptions"),
+            ("biplot --alpha inf", "InvalidOptions"),
+            ("biplot --alpha 2", "InvalidOptions"),
+            ("biplot --rank 0", "RankRequestTooLarge"),
+            ("biplot --rank 99", "RankRequestTooLarge"),
+            ("render --width 50", "InvalidOptions"),
+        ],
+        ids=lambda value: value.replace(" ", "_"),
+    )
+    def test_is_one_error_record(self, argv, record, table_csv, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        subcommand, *flags = argv.split()
+        assert main([subcommand, table_csv, *flags, "-o", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(record + r":[^\n]+\n", captured.err), captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
 
 
 class TestRender:

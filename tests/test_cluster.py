@@ -416,6 +416,12 @@ class TestHierarchicalCluster:
         with pytest.raises(InvalidOptions):
             hierarchical_cluster(dist, linkage="ward")
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -0.5])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        dist = distance_matrix(clr_matrix(two_triple_table()))
+        with pytest.raises(InfeasibleCut, match="finite and non-negative"):
+            hierarchical_cluster(dist, threshold=threshold)
+
     def test_labels_numbered_by_smallest_member_id(self):
         dist = distance_matrix(clr_matrix(two_triple_table()))
         got = hierarchical_cluster(dist, n_clusters=2)

@@ -15,6 +15,7 @@ from coda_atlas import (
     aitchison_distance,
     clr,
     clr_matrix,
+    distance_matrix,
     geometric_mean,
     log_ratio_series,
     named_ratio,
@@ -332,3 +333,19 @@ class TestAitchisonDistance:
         bc = aitchison_distance(b, c)
         ac = aitchison_distance(a, c)
         assert ac <= ab + bc + 1e-9
+
+    # D past 128, where numpy's pairwise sum starts to recurse
+    @given(
+        st.integers(2, 5), st.integers(2, 260), st.floats(0.01, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(n=3, D=129, sigma=1.0, seed=0)
+    @example(n=3, D=257, sigma=1.0, seed=1)
+    def test_equals_the_distance_matrix_entries(self, n, D, sigma, seed):
+        table = make_table(np.exp(sigma * np.random.default_rng(seed).normal(size=(n, D))))
+        matrix = distance_matrix(clr_matrix(table)).values
+        for i in range(n):
+            for j in range(n):
+                got = aitchison_distance(table.values[i], table.values[j])
+                assert np.float64(got).tobytes() == matrix[i, j].tobytes(), (i, j)

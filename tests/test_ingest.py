@@ -289,6 +289,36 @@ class TestParseTable:
         assert table.parts[1].unit == "MWh"
         assert table.parts[1].role == "environmental"
 
+    @pytest.mark.parametrize(
+        "name, declared, unit, role, factor",
+        [
+            ("energy_consumption", None, "MWh", "environmental", 1.0),
+            ("energy_consumption", "GWh", "MWh", "environmental", 1e3),
+            ("water_intake", "L", "m3", "environmental", 1e-3),
+            ("staff", "headcount", "headcount", "social", 1.0),
+            ("widgets", "unitless", "unitless", "financial", 1.0),
+            ("widgets", None, "unitless", "financial", 1.0),
+        ],
+        ids=[
+            "schema", "schema-declared", "declared-extra", "declared-extra-social",
+            "declared-extra-no-role", "undeclared-extra",
+        ],
+    )
+    def test_one_rule_gives_each_column_its_unit_role_and_values(
+        self, name, declared, unit, role, factor
+    ):
+        config = IngestConfig(unit_map={} if declared is None else {name: declared})
+        table = parse_table(
+            csv_doc("e1,One,1011,7.0,2.5", "e2,Two,1011,3.0,0.125",
+                    header=f"id,label,sector_code,total_assets,{name}"),
+            config,
+        )
+        part = table.parts[1]
+        assert (part.name, part.unit, part.role) == (name, unit, role)
+        assert table.parts[0].unit == "EUR_MM" and table.parts[0].role == "financial"
+        assert table.values[:, 1].tolist() == [2.5 * factor, 0.125 * factor]
+        assert table.values[:, 0].tolist() == [7.0, 3.0]
+
     def test_declared_unit_scaling_is_exact_thousandfold(self):
         base = csv_doc("e1,One,1011,3.5,15", "e2,Two,1022,2.0,40")
         in_mwh = parse_table(
