@@ -1,0 +1,151 @@
+"""CSV cells to entity texts and numbers, under a locale's strict grammar.
+
+:func:`parse_columns` checks and converts a whole part column at a time
+and returns None whenever it cannot vouch for the result; :func:`parse_rows`
+then decides, one row and one cell at a time, and raises the first
+ParseError in row order with its line, column and token. Where both return,
+they give the same texts and bit-identical values.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import re
+
+import numpy as np
+
+from .errors import EmptyInput, ParseError
+
+#: EU cell grammar: ASCII digits, a dot only between groups of three
+#: integer digits, an optional decimal comma, sign and exponent
+EU_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]{1,3}(?:\.[0-9]{3})+|[0-9]+)(?:,[0-9]*)?|,[0-9]+)(?:[eE][+-]?[0-9]+)?"
+)
+
+#: a column of EU cells joined by newlines; the lookahead and backreference
+#: match each line once, atomically, so a failing column costs one pass too
+_EU_COLUMN = re.compile(rf"(?:(?=({EU_NUMBER.pattern}\n))\1)*{EU_NUMBER.pattern}")
+
+#: what float() accepts but the point-decimal grammar does not, besides
+#: non-ASCII text: "_" digit separators and inf/infinity/nan (every spelling
+#: has an n), and the decimal comma
+_NOT_POINT_DECIMAL = "_nN,"
+
+
+def parse_number(text: str, locale: str, line: int, column: int) -> float:
+    """One cell, already stripped, under the locale's strict number grammar."""
+    if not text:
+        raise ParseError(line=line, column=column, token=text, reason="empty cell")
+    if locale == "point_decimal":
+        if "," in text:
+            raise ParseError(
+                line=line, column=column, token=text,
+                reason="comma in point-decimal locale",
+            )
+        # float() also takes "_" digit separators, inf/infinity/nan (every
+        # spelling has an n) and non-ASCII digits; none is a number here
+        strict = text.isascii() and "_" not in text and "n" not in text and "N" not in text
+        number = text
+    else:
+        strict = EU_NUMBER.fullmatch(text) is not None
+        number = text.replace(".", "").replace(",", ".")
+    if strict:
+        try:
+            return float(number)
+        except ValueError:
+            pass
+    raise ParseError(
+        line=line, column=column, token=text,
+        reason=f"not a number in the {locale} locale",
+    )
+
+
+def read_cells(data: str) -> tuple[list[str], list[int]]:
+    """Every CSV cell in one flat list, and each record's cell count.
+
+    One flat list instead of a list per record: the cyclic GC walks every
+    cell of a live container at the collections that later allocations
+    trigger, and a list per record would keep them all young together.
+    """
+    reader = csv.reader(io.StringIO(data))
+    cells: list[str] = []
+    widths: list[int] = []
+    try:
+        for record in reader:
+            cells += record
+            widths.append(len(record))
+    except csv.Error as exc:
+        raise ParseError(line=reader.line_num, column=1, token="", reason=str(exc)) from exc
+    if not widths:
+        raise EmptyInput("no CSV content")
+    return cells, widths
+
+
+def parse_columns(cells: list[str], widths: list[int], locale: str):
+    """(ids, labels, sector codes, values) of the data rows, a column at a time.
+
+    None unless every data row has the header's width and a non-empty id
+    and every part column passes its locale's grammar as a whole; the
+    row-by-row parse then decides. Where this returns, that parse gives the
+    same texts and bit-identical values.
+    """
+    width = widths[0]
+    n = len(widths) - 1
+    if n == 0 or widths.count(width) != n + 1:
+        return None
+    ids, labels, sectors = ([c.strip() for c in cells[width + k::width]] for k in range(3))
+    if not all(ids):
+        return None
+    values = np.empty((n, width - 3))
+    for k in range(width - 3):
+        column = cells[width + 3 + k::width]
+        joined = "\n".join(column)
+        if locale == "point_decimal":
+            if not joined.isascii() or any(c in joined for c in _NOT_POINT_DECIMAL):
+                return None
+        else:
+            # a cell holding a newline would shift the lines against the rows
+            if joined.count("\n") != n - 1 or not _EU_COLUMN.fullmatch(joined):
+                return None
+            column = joined.replace(".", "").replace(",", ".").split("\n")
+        try:
+            values[:, k] = np.array(column, dtype=float)
+        except ValueError:  # "", whitespace only, or not a float() literal
+            return None
+    return ids, labels, sectors, values
+
+
+def parse_rows(cells: list[str], widths: list[int], locale: str):
+    """(ids, labels, sector codes, values) of the data rows, cell by cell.
+
+    Raises the first ParseError in row order, with its line, column and
+    token, or EmptyInput when there are no rows.
+    """
+    width = widths[0]
+    ids, labels, sectors, values = [], [], [], []
+    at = width
+    for row_number, row_width in enumerate(widths[1:], start=2):
+        cells_of_row = [cell.strip() for cell in cells[at:at + row_width]]
+        at += row_width
+        if row_width != width:
+            raise ParseError(
+                line=row_number, column=min(row_width + 1, width),
+                token="", reason=f"expected {width} cells, got {row_width}",
+            )
+        if not cells_of_row[0]:
+            raise ParseError(
+                line=row_number, column=1, token="", reason="empty entity id"
+            )
+        ids.append(cells_of_row[0])
+        labels.append(cells_of_row[1])
+        sectors.append(cells_of_row[2])
+        values.append(
+            [
+                parse_number(cells_of_row[3 + k], locale, row_number, 4 + k)
+                for k in range(width - 3)
+            ]
+        )
+    if not ids:
+        raise EmptyInput("no data rows")
+    return ids, labels, sectors, values

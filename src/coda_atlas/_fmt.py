@@ -136,10 +136,16 @@ def _emit_float_dict(obj: dict, child_pad: str, pad: str, out: list[str]) -> Non
     out.append("\n" + pad + "}")
 
 
+class RawJson(str):
+    """JSON text already formatted for where it sits; dumps_json copies it as is."""
+
+
 def _emit(obj: Any, level: int, out: list[str]) -> None:
     pad = _INDENT * level
     child_pad = pad + _INDENT
-    if isinstance(obj, str):
+    if isinstance(obj, RawJson):
+        out.append(obj)
+    elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         if not obj:

@@ -15,15 +15,22 @@ min(n-1, D-1); the model keeps exactly that many components.
 
 Output is deterministic: no randomized algorithms, and each right-singular
 vector is oriented so that its largest-magnitude coordinate is positive.
+Tables of up to 1024 rows are decomposed by LAPACK's SVD of Z itself.
+Taller ones go through blocked TSQR (Demmel, Grigori, Hoemmen & Langou,
+arXiv:0808.2664) and the SVD of its D x D triangular factor R (Chan's
+R-SVD, 1982), and the points are Z V_k S_k^(alpha-1): LAPACK's SVD of a
+tall matrix changes in its last bits with the OpenBLAS thread count, while
+the QR of 1024-row blocks and of the small R do not (a test pins this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .composition import ClrMatrix
+from .composition import ClrMatrix, check_count
 from .errors import (
     DegenerateLink,
     DegenerateVariance,
@@ -34,10 +41,14 @@ from .errors import (
     SvdFailure,
     TooFewRows,
 )
-from ._fmt import check_finite, csv_fields, dumps_json, fill_rows
+from ._fmt import RawJson, check_finite, csv_fields, dumps_json, fill_rows
 
 #: Relative spread below which a score/log-ratio series counts as constant.
 _CONSTANT_RTOL = 1e-12
+
+#: rows per TSQR block; a centred matrix of at most this many rows, or one
+#: wider than half of it, is decomposed by LAPACK's SVD directly
+_TSQR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +120,34 @@ def center_columns(clr: ClrMatrix) -> tuple[np.ndarray, np.ndarray]:
     return clr.values - means, means
 
 
+def _tsqr_r(a: np.ndarray) -> np.ndarray:
+    """The R factor of a tall matrix: QR of each block, then of the stacked Rs.
+
+    Each pass replaces every _TSQR_BLOCK_ROWS rows by their min(rows, D) x D
+    R factor, until one block is left. Needs 2 D <= _TSQR_BLOCK_ROWS, so a
+    pass at least halves the rows.
+    """
+    while a.shape[0] > _TSQR_BLOCK_ROWS:
+        blocks = range(0, a.shape[0], _TSQR_BLOCK_ROWS)
+        a = np.vstack([np.linalg.qr(a[lo:lo + _TSQR_BLOCK_ROWS], mode="r") for lo in blocks])
+    return np.linalg.qr(a, mode="r")
+
+
 def _centered_svd(clr: ClrMatrix):
-    """(centered, column_means, thin SVD of centered); LAPACK failure is SvdFailure."""
+    """(centered, column_means, u, s, vt): the thin SVD of the centred matrix.
+
+    Above one TSQR block (and for 2 D within it), s and vt are those of the
+    TSQR factor R, and u is None: U is centered @ vt.T / s. LAPACK failure
+    is SvdFailure.
+    """
     centered, means = center_columns(clr)
+    n, D = centered.shape
     try:
-        svd = np.linalg.svd(centered, full_matrices=False)
+        if n > _TSQR_BLOCK_ROWS >= 2 * D:
+            return (centered, means, None, *np.linalg.svd(_tsqr_r(centered))[1:])
+        return (centered, means, *np.linalg.svd(centered, full_matrices=False))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SvdFailure(str(exc)) from exc
-    return centered, means, svd
 
 
 def singular_spectrum(clr: ClrMatrix) -> np.ndarray:
@@ -127,7 +158,7 @@ def singular_spectrum(clr: ClrMatrix) -> np.ndarray:
     ``singular_values`` bit for bit, and the trailing ones are structural
     zeros.
     """
-    return _centered_svd(clr)[2][1]
+    return _centered_svd(clr)[3]
 
 
 def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
@@ -145,18 +176,20 @@ def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
 
     Raises
     ------
-    TooFewRows, RankRequestTooLarge, DegenerateVariance, SvdFailure
+    TooFewRows, InvalidOptions, RankRequestTooLarge, DegenerateVariance,
+    SvdFailure
     """
     n, D = clr.n, clr.D
     if n < 3:
         raise TooFewRows(f"biplot needs n >= 3, got {n}")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidOptions(f"alpha must be in [0, 1], got {alpha}")
+    check_count("k", k)
     m = min(n - 1, D - 1)
     if not 1 <= k <= m:
         raise RankRequestTooLarge(f"k={k} not in [1, min(n-1, D-1)={m}]")
 
-    centered, column_means, (u, s, vt) = _centered_svd(clr)
+    centered, column_means, u, s, vt = _centered_svd(clr)
     if s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(clr.values))):
         raise DegenerateVariance("all rows carry the same composition")
 
@@ -166,12 +199,16 @@ def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
         lead = int(np.argmax(np.abs(vt[comp])))
         if vt[comp, lead] < 0.0:
             vt[comp] = -vt[comp]
-            u[:, comp] = -u[:, comp]
+            if u is not None:
+                u[:, comp] = -u[:, comp]
 
     s_m = s[:m]
     s2 = s_m**2
     explained = s2 / s2.sum()
-    points = u[:, :k] * s_m[:k] ** alpha
+    if u is None:
+        points = (centered @ vt[:k].T) * s_m[:k] ** (alpha - 1.0)
+    else:
+        points = u[:, :k] * s_m[:k] ** alpha
     rays = vt[:k].T * s_m[:k] ** (1.0 - alpha)
 
     def frozen(a: np.ndarray) -> np.ndarray:
@@ -316,18 +353,31 @@ def reconstruct(model: BiplotModel) -> np.ndarray:
     return model.points @ model.rays.T
 
 
+def _points_json(entity_ids, points: np.ndarray) -> RawJson:
+    """The document's "points" list, one ``fill_rows`` pass over all entities.
+
+    Laid out as dumps_json lays out ``[{"id": ..., "coords": [...]}, ...]``
+    at the document's first nesting level.
+    """
+    check_finite(points)
+    coords = ",\n        ".join(["%.17g"] * points.shape[1])
+    row = '    {\n      "id": %s,\n      "coords": [\n        ' + coords + "\n      ]\n    },\n"
+    body = fill_rows(row, list(map(encode_basestring_ascii, entity_ids)), points)
+    return RawJson("[\n" + body[:-2] + "\n  ]")
+
+
 def model_to_json(model: BiplotModel) -> str:
     """Serialize the fitted model to its JSON document (17 significant digits)."""
+    summaries = (model.singular_values, model.explained, model.column_means)
+    for values in summaries:  # written before the points: their errors come first
+        check_finite(values)
     doc = {
         "alpha": model.alpha,
         "k": model.k,
         "singular_values": model.singular_values.tolist(),
         "explained": model.explained.tolist(),
         "column_means": model.column_means.tolist(),
-        "points": [
-            {"id": eid, "coords": coords}
-            for eid, coords in zip(model.entity_ids, model.points.tolist())
-        ],
+        "points": _points_json(model.entity_ids, model.points),
         "rays": [
             {"part": name, "coords": coords}
             for name, coords in zip(model.part_names, model.rays.tolist())

@@ -38,6 +38,7 @@ from .composition import (
     ClrMatrix,
     IndicatorTable,
     RatioDefinition,
+    check_count,
     clr_matrix,
     default_ratio_catalog,
     duplicated,
@@ -58,6 +59,9 @@ LINKAGES = ("single", "complete", "average")
 #: holds _DISTANCE_BLOCK_ROWS * n * D floats instead of n * n * D
 _DISTANCE_BLOCK_ROWS = 8
 
+#: side of the square tiles in which DistanceMatrix checks symmetry
+_SYMMETRY_TILE = 128
+
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
@@ -74,14 +78,20 @@ class DistanceMatrix:
         dup = duplicated(self.ids)
         if dup:
             raise DuplicateEntityId(",".join(dup))
-        # checked in row blocks, so temporaries stay at _DISTANCE_BLOCK_ROWS x n
-        rows = range(0, n, _DISTANCE_BLOCK_ROWS)
-        blocks = [slice(r, r + _DISTANCE_BLOCK_ROWS) for r in rows]
-        if not all(np.allclose(v[b], v[:, b].T, rtol=0.0, atol=1e-12) for b in blocks):
-            raise DimensionMismatch("distance matrix is not symmetric")
+        # each tile on or above the diagonal against its mirror tile: reads
+        # stay contiguous and temporaries stay at _SYMMETRY_TILE^2 entries.
+        # The test is np.allclose(a, b, rtol=0, atol=1e-12): equal infinities
+        # are close, and a NaN is close to nothing
+        tiles = [slice(r, r + _SYMMETRY_TILE) for r in range(0, n, _SYMMETRY_TILE)]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for i, rows in enumerate(tiles):
+                for cols in tiles[i:]:
+                    a, b = v[rows, cols], v[cols, rows].T
+                    if not np.all((np.abs(a - b) <= 1e-12) | (a == b)):
+                        raise DimensionMismatch("distance matrix is not symmetric")
         if np.any(np.diag(v) != 0.0):
             raise DimensionMismatch("distance matrix diagonal is not zero")
-        if any(np.any(v[b] < 0.0) for b in blocks):
+        if any(np.any(v[rows] < 0.0) for rows in tiles):
             raise DimensionMismatch("distance matrix has negative entries")
 
     @property
@@ -259,8 +269,10 @@ def _check_cut(n: int, linkage: str, n_clusters: int | None, threshold: float | 
         raise InvalidOptions(f"linkage {linkage!r} not in {LINKAGES}")
     if n_clusters is not None and threshold is not None:
         raise InfeasibleCut("give either a cluster count or a threshold, not both")
-    if n_clusters is not None and not 1 <= n_clusters <= n:
-        raise InfeasibleCut(f"cluster count {n_clusters} not in [1, {n}]")
+    if n_clusters is not None:
+        check_count("cluster count", n_clusters)
+        if not 1 <= n_clusters <= n:
+            raise InfeasibleCut(f"cluster count {n_clusters} not in [1, {n}]")
     if threshold is not None and not 0.0 <= threshold < np.inf:
         raise InfeasibleCut(f"threshold must be finite and non-negative, got {threshold}")
 

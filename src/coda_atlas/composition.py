@@ -191,6 +191,12 @@ def duplicated(items: Sequence) -> list:
     return sorted(item for item, count in counts.items() if count > 1)
 
 
+def check_count(name: str, value) -> None:
+    """Raise InvalidOptions unless ``value`` is an integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidOptions(f"{name} must be an integer, got {value!r}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)

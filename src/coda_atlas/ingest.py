@@ -7,6 +7,16 @@ decimal), converted to canonical units through an extensible registry, run
 through the configured zero strategy and finally validated into an
 IndicatorTable.
 
+Cells are parsed a column at a time: when every data row has the header's
+width and a non-empty id, each part column is checked against its locale's
+grammar as one joined text (point-decimal: ASCII with no ``_``, ``n``,
+``N`` or ``,``; EU: one pass of the EU number pattern, then the dot and
+comma rewrite) and converted by one ``np.array(column, dtype=float)``,
+which accepts exactly what ``float()`` accepts. If any of that fails, the
+table is parsed again row by row, cell by cell, which gives every
+ParseError its line, column and token and raises the first one in row
+order. Both parses live in ``_cells``.
+
 All numeric output uses point decimals with 17 significant digits, which
 round-trips IEEE doubles exactly. Every report file is written by one
 writer, :func:`write_outputs`, all or none; ``pipeline`` adds a manifest of
@@ -16,9 +26,7 @@ content hashes so reruns can be compared byte for byte.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -27,6 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _cells
 from ._fmt import csv_fields, csv_line, dumps_json, fmt_rows
 from .composition import (
     ClrMatrix,
@@ -40,7 +49,6 @@ from .composition import (
     validate_table,
 )
 from .errors import (
-    EmptyInput,
     InvalidOptions,
     IoFailure,
     ParseError,
@@ -48,12 +56,6 @@ from .errors import (
 )
 
 LOCALES = ("point_decimal", "eu")
-
-#: EU cell grammar: ASCII digits, a dot only between groups of three
-#: integer digits, an optional decimal comma, sign and exponent
-_EU_NUMBER = re.compile(
-    r"[+-]?(?:(?:[0-9]{1,3}(?:\.[0-9]{3})+|[0-9]+)(?:,[0-9]*)?|,[0-9]+)(?:[eE][+-]?[0-9]+)?"
-)
 
 #: ratio names become file names (rankings_<name>.csv), so no path separators
 _RATIO_NAME = re.compile(r"[A-Za-z0-9_.-]+")
@@ -278,34 +280,6 @@ class IngestConfig:
         return cls(**kwargs)
 
 
-def _parse_number(text: str, locale: str, line: int, column: int) -> float:
-    """One cell, already stripped, under the locale's strict number grammar."""
-    if not text:
-        raise ParseError(line=line, column=column, token=text, reason="empty cell")
-    if locale == "point_decimal":
-        if "," in text:
-            raise ParseError(
-                line=line, column=column, token=text,
-                reason="comma in point-decimal locale",
-            )
-        # float() also takes "_" digit separators, inf/infinity/nan (every
-        # spelling has an n) and non-ASCII digits; none is a number here
-        strict = text.isascii() and "_" not in text and "n" not in text and "N" not in text
-        number = text
-    else:
-        strict = _EU_NUMBER.fullmatch(text) is not None
-        number = text.replace(".", "").replace(",", ".")
-    if strict:
-        try:
-            return float(number)
-        except ValueError:
-            pass
-    raise ParseError(
-        line=line, column=column, token=text,
-        reason=f"not a number in the {locale} locale",
-    )
-
-
 def parse_table(data: bytes | str, config: IngestConfig | None = None) -> IndicatorTable:
     """Parse a CSV indicator table into a validated IndicatorTable.
 
@@ -324,14 +298,8 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
                 line=1, column=1, token="", reason=f"not UTF-8: {exc.reason}"
             ) from exc
 
-    reader = csv.reader(io.StringIO(data))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ParseError(line=reader.line_num, column=1, token="", reason=str(exc)) from exc
-    if not rows:
-        raise EmptyInput("no CSV content")
-    header = [cell.strip() for cell in rows[0]]
+    cells, widths = _cells.read_cells(data)
+    header = [cell.strip() for cell in cells[:widths[0]]]
     for position, expected in enumerate(("id", "label", "sector_code")):
         got = header[position] if position < len(header) else ""
         if got != expected:
@@ -351,28 +319,12 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
         parts.append(Part(index=index, name=name, unit=canonical, role=role))
         factors.append(factor)
 
-    entities = []
-    values = []
-    for row_number, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(header):
-            raise ParseError(
-                line=row_number, column=min(len(cells) + 1, len(header)),
-                token="", reason=f"expected {len(header)} cells, got {len(cells)}",
-            )
-        if not cells[0]:
-            raise ParseError(
-                line=row_number, column=1, token="", reason="empty entity id"
-            )
-        entities.append(Entity(id=cells[0], label=cells[1], sector_code=cells[2]))
-        values.append(
-            [
-                _parse_number(cells[3 + k], config.locale, row_number, 4 + k)
-                for k in range(len(part_names))
-            ]
-        )
-    if not entities:
-        raise EmptyInput("no data rows")
+    parsed = _cells.parse_columns(cells, widths, config.locale)
+    if parsed is None:
+        parsed = _cells.parse_rows(cells, widths, config.locale)
+    del cells  # before the entities are built: see _cells.read_cells
+    ids, labels, sectors, values = parsed
+    entities = list(map(Entity, ids, labels, sectors))
 
     raw = np.asarray(values, dtype=float) * np.asarray(factors, dtype=float)
     mode, delta = config._zero_mode()

@@ -199,6 +199,18 @@ _POINT = '<circle class="point" cx="%%.6f" cy="%%.6f" r="%.6f" fill="%%s"/>\n' %
 _LABEL = '<text class="point-label" x="%.6f" y="%.6f" font-size="10" fill="#222222">%s</text>\n'
 
 
+def _escape_texts(texts: Sequence[str]) -> Sequence[str]:
+    """Each text with ``&``, ``<`` and ``>`` escaped for SVG character data.
+
+    One scan of the joined texts decides; when none needs escaping,
+    ``texts`` itself is returned, so the common case costs no call per text.
+    """
+    joined = "".join(texts)
+    if "&" not in joined and "<" not in joined and ">" not in joined:
+        return texts
+    return [html_escape(text, quote=False) for text in texts]
+
+
 def _project(points: np.ndarray, origin: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(point - origin) . u for every point, each rounded as np.dot rounds it.
 
@@ -252,7 +264,7 @@ def render_biplot(
         pc1_x=options.width - 6.0, pc1_y=origin[1] - 6.0, pc1=model.explained[0] * 100.0,
         pc2_x=origin[0] + 6.0, pc2=model.explained[1] * 100.0,
     )
-    part_names = [html_escape(name, quote=False) for name in model.part_names]
+    part_names = _escape_texts(model.part_names)
     blocks = [
         head,
         '<g class="rays" stroke="#444444" stroke-width="1.5">\n',
@@ -282,7 +294,7 @@ def render_biplot(
     fills = [colors[entity.sector_code] for entity in table.entities]
     blocks += ['<g class="points">\n', fill_rows(_POINT, screen_points, fills), "</g>\n"]
     if options.label_points:
-        ids = [html_escape(entity.id, quote=False) for entity in table.entities]
+        ids = _escape_texts(table.entity_ids)
         blocks.append(fill_rows(_LABEL, screen_points + np.array([5.0, 3.0]), ids))
     blocks.append("</svg>\n")
     return "".join(blocks)

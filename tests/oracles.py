@@ -5,6 +5,8 @@ These deliberately avoid the library calls they are checking:
 * ``jacobi_eigenvalues`` is a hand-rolled cyclic Jacobi eigensolver for
   symmetric matrices, used to verify the LAPACK-backed SVD (singular values
   of Z are the square roots of the eigenvalues of Z^T Z).
+* ``lapack_biplot`` is the biplot fit as one LAPACK SVD of the whole
+  centred matrix, the fit that the TSQR path replaces above 1024 rows.
 * ``brute_force_ranking`` sorts entities by the raw pairwise log-ratio
   directly from table values, used to verify biplot projection rankings.
 * ``linear_quantile`` re-implements the interpolated quantile definition
@@ -16,6 +18,10 @@ These deliberately avoid the library calls they are checking:
   that the row-blocked ``distance_matrix`` avoids.
 * ``pairwise_kendall_tau_b`` counts concordant, discordant and tied pairs
   one pair at a time, the O(n^2) definition behind the merge-count tau-b.
+* ``per_cell_parse_table`` is the table parser as it was before the
+  column-at-a-time parse: one ``float()`` call per cell after a per-cell
+  grammar check. The production parser must give the same table, values
+  bit for bit, or the same error record.
 * ``per_cell_serialize_table``, ``per_cell_clr_csv``,
   ``per_cell_ranking_csv``, ``per_cell_describe_csv``,
   ``per_cell_assignment_csv``, ``per_cell_dumps_json`` and
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import html
+import io
 import json
 import math
 from itertools import combinations
@@ -37,12 +44,17 @@ import numpy as np
 
 from coda_atlas._fmt import fmt_float
 from coda_atlas.biplot import make_link
+from coda_atlas.composition import Entity, Part, replace_zeros, validate_table
 from coda_atlas.errors import (
     DegenerateLink,
+    EmptyInput,
     MismatchedEntities,
+    ParseError,
     UnknownRatio,
     UnsupportedRank,
 )
+from coda_atlas._cells import EU_NUMBER
+from coda_atlas.ingest import _ROLE_FOR_UNIT, DEFAULT_PART_SCHEMA, IngestConfig
 from coda_atlas.render import (
     _POINT_RADIUS,
     _TICK_HALF_LENGTH,
@@ -112,6 +124,16 @@ def oracle_singular_values(z) -> np.ndarray:
     gram = z.T @ z if z.shape[1] <= z.shape[0] else z @ z.T
     eigenvalues = jacobi_eigenvalues(gram)
     return np.sqrt(np.clip(eigenvalues, 0.0, None)).astype(float)
+
+
+def lapack_biplot(centered, alpha: float, k: int):
+    """(singular values, rank-k points) of LAPACK's SVD, with fit_biplot's sign rule."""
+    u, s, vt = np.linalg.svd(centered, full_matrices=False)
+    for comp in range(len(s)):
+        lead = int(np.argmax(np.abs(vt[comp])))
+        if vt[comp, lead] < 0.0:
+            u[:, comp] = -u[:, comp]
+    return s, u[:, :k] * s[:k] ** alpha
 
 
 def brute_force_ranking(values, i: int, j: int, entity_ids) -> tuple[str, ...]:
@@ -205,6 +227,90 @@ def pairwise_kendall_tau_b(x, y) -> float:
     if tied_x == pairs or tied_y == pairs:
         return math.nan
     return (concordant - discordant) / math.sqrt((pairs - tied_x) * (pairs - tied_y))
+
+
+def _parse_number(text: str, locale: str, line: int, column: int) -> float:
+    if not text:
+        raise ParseError(line=line, column=column, token=text, reason="empty cell")
+    if locale == "point_decimal":
+        if "," in text:
+            raise ParseError(
+                line=line, column=column, token=text,
+                reason="comma in point-decimal locale",
+            )
+        strict = text.isascii() and "_" not in text and "n" not in text and "N" not in text
+        number = text
+    else:
+        strict = EU_NUMBER.fullmatch(text) is not None
+        number = text.replace(".", "").replace(",", ".")
+    if strict:
+        try:
+            return float(number)
+        except ValueError:
+            pass
+    raise ParseError(
+        line=line, column=column, token=text,
+        reason=f"not a number in the {locale} locale",
+    )
+
+
+def per_cell_parse_table(data, config=None):
+    """parse_table with one grammar check and one float() call per cell."""
+    if config is None:
+        config = IngestConfig()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                line=1, column=1, token="", reason=f"not UTF-8: {exc.reason}"
+            ) from exc
+    reader = csv.reader(io.StringIO(data))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(line=reader.line_num, column=1, token="", reason=str(exc)) from exc
+    if not rows:
+        raise EmptyInput("no CSV content")
+    header = [cell.strip() for cell in rows[0]]
+    for position, expected in enumerate(("id", "label", "sector_code")):
+        got = header[position] if position < len(header) else ""
+        if got != expected:
+            raise ParseError(
+                line=1, column=position + 1, token=got,
+                reason=f"expected header column {expected!r}",
+            )
+    part_names = header[3:]
+    registry = config.registry()
+    parts, factors = [], []
+    for index, name in enumerate(part_names):
+        schema_unit, schema_role = DEFAULT_PART_SCHEMA.get(name, ("unitless", None))
+        canonical, factor = registry.resolve(config.unit_map.get(name, schema_unit))
+        role = schema_role or _ROLE_FOR_UNIT.get(canonical, "financial")
+        parts.append(Part(index=index, name=name, unit=canonical, role=role))
+        factors.append(factor)
+    entities, values = [], []
+    for row_number, row in enumerate(rows[1:], start=2):
+        cells = [cell.strip() for cell in row]
+        if len(cells) != len(header):
+            raise ParseError(
+                line=row_number, column=min(len(cells) + 1, len(header)),
+                token="", reason=f"expected {len(header)} cells, got {len(cells)}",
+            )
+        if not cells[0]:
+            raise ParseError(line=row_number, column=1, token="", reason="empty entity id")
+        entities.append(Entity(id=cells[0], label=cells[1], sector_code=cells[2]))
+        values.append(
+            [
+                _parse_number(cells[3 + k], config.locale, row_number, 4 + k)
+                for k in range(len(part_names))
+            ]
+        )
+    if not entities:
+        raise EmptyInput("no data rows")
+    raw = np.asarray(values, dtype=float) * np.asarray(factors, dtype=float)
+    mode, delta = config._zero_mode()
+    return validate_table(replace_zeros(raw, strategy=mode, delta=delta), parts, entities)
 
 
 class _Line:

@@ -4,6 +4,9 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,12 @@ from coda_atlas.errors import (
 )
 
 from conftest import make_table, random_table
-from oracles import brute_force_ranking, oracle_singular_values, pairwise_kendall_tau_b
+from oracles import (
+    brute_force_ranking,
+    lapack_biplot,
+    oracle_singular_values,
+    pairwise_kendall_tau_b,
+)
 
 #: fixed 4x4 fixture: two mirrored geometric rows and two step rows
 FIXTURE_ROWS = [
@@ -125,8 +133,9 @@ class TestSingularSpectrum:
 
     @pytest.mark.parametrize(
         "text",
-        [synthetic_csv, lambda: perfbench_table_csv(400, 32, 7)],
-        ids=["fixture", "400x32"],
+        [synthetic_csv, lambda: perfbench_table_csv(400, 32, 7),
+         lambda: perfbench_table_csv(2000, 32, 1)],
+        ids=["fixture", "400x32", "2000x32"],
     )
     def test_spectrum_is_the_model_spectrum_on_shipped_tables(self, text):
         assert_spectrum_is_the_model_spectrum(clr_matrix(parse_table(text())))
@@ -177,11 +186,64 @@ class TestFitBiplot:
         with pytest.raises(TooFewRows):
             fit_biplot(clr_matrix(random_table(rng, 2, 4)))
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_rank_must_be_an_integer(self, rng, k):
+        clr = clr_matrix(random_table(rng, 5, 4))
+        with pytest.raises(InvalidOptions, match="k must be an integer"):
+            fit_biplot(clr, k=k)
+        assert fit_biplot(clr, k=np.int64(2)).points.shape == (5, 2)
+
     def test_identical_compositions_degenerate(self):
         # rows proportional -> identical CLR rows -> zero centred matrix
         table = make_table([[1.0, 2.0, 4.0], [2.0, 4.0, 8.0], [4.0, 8.0, 16.0]])
         with pytest.raises(DegenerateVariance):
             fit_biplot(clr_matrix(table), k=1)
+
+
+class TestTsqrFit:
+    """Above 1024 rows the fit goes through TSQR; LAPACK's SVD is the oracle."""
+
+    @pytest.mark.parametrize("n, seed", [(1025, 11), (5000, 2), (20000, 5)])
+    def test_matches_lapack_svd(self, n, seed):
+        clr = clr_matrix(parse_table(perfbench_table_csv(n, 32, seed)))
+        centered, _ = center_columns(clr)
+        for alpha in (1.0, 0.5):
+            model = fit_biplot(clr, alpha=alpha, k=2)
+            s, points = lapack_biplot(centered, alpha, 2)
+            assert np.max(np.abs(singular_spectrum(clr) - s)) <= 1e-12 * s[0]
+            m = len(model.singular_values)  # min(n - 1, D - 1)
+            assert np.max(np.abs(model.singular_values - s[:m])) <= 1e-12 * s[0]
+            assert np.max(np.abs(model.points - points)) <= 1e-10 * np.max(np.abs(points))
+
+    def test_full_rank_recovers_centred_matrix(self, rng):
+        clr = clr_matrix(random_table(rng, 1500, 5))
+        centered, _ = center_columns(clr)
+        for alpha in (0.0, 0.5, 1.0):
+            model = fit_biplot(clr, alpha=alpha, k=4)
+            assert np.linalg.norm(reconstruct(model) - centered) <= 1e-8
+
+    def test_rank2_ordering_is_exact_for_three_parts(self, rng):
+        table = random_table(rng, 1100, 3)
+        model = fit_biplot(clr_matrix(table), alpha=1.0, k=2)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            result = rank_along_link(model, make_link(model, i, j))
+            assert result.ordering == brute_force_ranking(table.values, i, j, table.entity_ids)
+            assert abs(result.fidelity - 1.0) <= 1e-9
+
+    def test_model_json_independent_of_blas_threads(self, tmp_path):
+        source = tmp_path / "table.csv"
+        source.write_text(perfbench_table_csv(20000, 32, 5))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        documents = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "coda_atlas.cli", "biplot", str(source), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            documents.append((out / "model.json").read_bytes())
+        assert documents[0] == documents[1]
 
 
 class TestReconstruction:

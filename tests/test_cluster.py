@@ -228,6 +228,26 @@ class TestDistanceMatrix:
         DistanceMatrix(ids=ids, values=within_tolerance)
         DistanceMatrix(ids=ids, values=infinite)
 
+    @pytest.mark.parametrize(
+        "row, col", [(0, 1), (1, 0), (5, 200), (200, 5), (140, 299), (299, 298)]
+    )
+    def test_one_entry_off_by_twice_the_tolerance_rejected(self, rng, row, col):
+        n = 300  # tiles of 128: diagonal, off-diagonal and partial tiles
+        ids = tuple(f"e{k:03d}" for k in range(n))
+        values = distance_matrix(clr_matrix(random_table(rng, n, 4))).values
+        asymmetric = values.copy()
+        asymmetric[row, col] += 2e-12
+        with pytest.raises(DimensionMismatch, match="not symmetric"):
+            DistanceMatrix(ids=ids, values=asymmetric)
+        one_nan = values.copy()
+        one_nan[row, col] = np.nan
+        with pytest.raises(DimensionMismatch, match="not symmetric"):
+            DistanceMatrix(ids=ids, values=one_nan)
+        mirrored_nan = one_nan.copy()
+        mirrored_nan[col, row] = np.nan
+        with pytest.raises(DimensionMismatch, match="not symmetric"):
+            DistanceMatrix(ids=ids, values=mirrored_nan)
+
     def test_validation_temporaries_are_row_blocks(self, rng):
         n = 600
         values = distance_matrix(clr_matrix(random_table(rng, n, 4))).values
@@ -415,6 +435,13 @@ class TestHierarchicalCluster:
             hierarchical_cluster(dist, threshold=-0.5)
         with pytest.raises(InvalidOptions):
             hierarchical_cluster(dist, linkage="ward")
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_cluster_count_must_be_an_integer(self, count):
+        dist = distance_matrix(clr_matrix(two_triple_table()))
+        with pytest.raises(InvalidOptions, match="cluster count must be an integer"):
+            hierarchical_cluster(dist, n_clusters=count)
+        assert hierarchical_cluster(dist, n_clusters=np.int64(2)).n_clusters == 2
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -0.5])
     def test_threshold_must_be_finite_and_non_negative(self, threshold):

@@ -4,6 +4,8 @@ Every writer must give the oracle's bytes exactly, and the oracle's error
 for a non-finite number.
 """
 
+import dataclasses
+import html
 import xml.etree.ElementTree as ET
 from unittest.mock import patch
 
@@ -309,8 +311,30 @@ class TestDumpsJson:
         assert dumps_json(doc) == per_cell_dumps_json(doc)
 
     def test_model_document_matches_per_cell(self, rng):
-        model = fit_biplot(clr_matrix(make_table(np.exp(rng.normal(size=(300, 7))))), k=3)
-        doc = {
+        for n, k in ((300, 3), (1500, 1), (1025, 2)):
+            ids = [f"e{r}" if r % 4 else f'e{r} "\u00e9\\\n' for r in range(n)]
+            table = make_table(np.exp(rng.normal(size=(n, 7))), ids=ids)
+            model = fit_biplot(clr_matrix(table), k=k)
+            assert model_to_json(model) == per_cell_dumps_json(self.model_document(model))
+
+    @pytest.mark.parametrize(
+        "field, cell", [("points", (2, 1)), ("points", (0, 0)), ("column_means", (3,))]
+    )
+    def test_non_finite_model_gives_the_per_cell_error(self, rng, field, cell):
+        model = fit_biplot(clr_matrix(make_table(np.exp(rng.normal(size=(9, 7))))), k=2)
+        changes = {"points": model.points.copy()}
+        changes["points"][-1, -1] = np.inf
+        changes.setdefault(field, getattr(model, field).copy())[cell] = np.nan
+        model = dataclasses.replace(model, **changes)
+        with pytest.raises(ValueError) as expected:
+            per_cell_dumps_json(self.model_document(model))
+        with pytest.raises(ValueError) as got:
+            model_to_json(model)
+        assert str(got.value) == str(expected.value)
+
+    @staticmethod
+    def model_document(model):
+        return {
             "alpha": model.alpha,
             "k": model.k,
             "singular_values": [float(s) for s in model.singular_values],
@@ -321,7 +345,6 @@ class TestDumpsJson:
             "rays": [{"part": name, "coords": [float(x) for x in model.rays[d]]}
                      for d, name in enumerate(model.part_names)],
         }
-        assert model_to_json(model) == per_cell_dumps_json(doc)
 
 
 def _render_case(seed: int, n: int):
@@ -356,6 +379,16 @@ class TestRenderBiplot:
         names = tuple(r.name for r in default_ratio_catalog())
         options = RenderOptions(show_links=names, label_points=label_points, width=640)
         assert render_biplot(model, table, options) == per_element_svg(model, table, options)
+
+    @pytest.mark.parametrize("special", ["&", "<", ">"])
+    def test_each_escaped_character_alone(self, rng, special):
+        ids = [f"e{r}{special}" if r == 4 else f"e{r}" for r in range(9)]
+        names = [f"p{d}{special}" if d == 1 else f"p{d}" for d in range(4)]
+        table = make_table(np.exp(rng.normal(size=(9, 4))), ids=ids, part_names=names)
+        model = fit_biplot(clr_matrix(table), k=2)
+        svg = render_biplot(model, table)
+        assert svg == per_element_svg(model, table)
+        assert svg.count(html.escape(special)) == 2
 
     def test_tick_feet_round_like_one_dot_per_point(self, rng):
         points = rng.normal(scale=300.0, size=(20_000, 2))

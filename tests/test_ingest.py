@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coda_atlas
 from coda_atlas import (
@@ -21,9 +23,10 @@ from coda_atlas import (
     table_config,
     write_reports,
 )
-from coda_atlas import composition, ingest
+from coda_atlas import _cells, composition, ingest
 from coda_atlas.ingest import clr_csv, write_outputs
 from coda_atlas.errors import (
+    CodaError,
     DuplicateEntityId,
     EmptyInput,
     InvalidOptions,
@@ -34,6 +37,7 @@ from coda_atlas.errors import (
 )
 
 from conftest import fail_nth_open, make_table
+from oracles import per_cell_parse_table
 
 HEADER = "id,label,sector_code,net_revenue,energy_consumption"
 
@@ -96,6 +100,80 @@ class TestNumberLocales:
     def test_strict_grammars_keep_plain_forms(self, locale, token, expected):
         table = parse_table(csv_doc(f'e1,One,1011,2,"{token}"'), IngestConfig(locale=locale))
         assert table.values[0, 1] == expected
+
+
+#: cells float() reads one way or another, which each locale's grammar
+#: accepts or rejects; with blank and whitespace-only cells, and a newline
+SPECIAL_CELLS = [
+    "1_000", "inf", "nan", "\u0663", " 1.5 ", "0x1", "1,5", "1.000,5", "", "  ", "1\n2",
+]
+
+_POSITIVE = st.floats(1e-300, 1e300)
+
+
+def _eu_text(v: float) -> str:
+    return f"{v:,.3f}".translate(str.maketrans(",.", ".,"))
+
+
+#: well-formed cells per locale: shortest repr, exponent and fixed forms
+VALID_CELLS = {
+    "point_decimal": st.one_of(
+        _POSITIVE.map(repr), _POSITIVE.map("{:.6e}".format), st.integers(1, 10**9).map(str)
+    ),
+    "eu": st.one_of(
+        st.floats(1e-3, 1e12).map(_eu_text),
+        _POSITIVE.map(lambda v: f"{v:.4e}".replace(".", ",")),
+        st.integers(1, 10**9).map(str),
+    ),
+}
+
+
+@st.composite
+def mixed_tables(draw, locale):
+    """CSV text of a 1..6 x 2..4 table of valid cells with up to two special ones."""
+    n, D = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    cells = [[draw(VALID_CELLS[locale]) for _ in range(D)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, D - 1))
+        cells[row][col] = draw(st.sampled_from(SPECIAL_CELLS))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "label", "sector_code", *(f"p{d}" for d in range(D))])
+    for r, row in enumerate(cells):
+        writer.writerow([f"e{r}", f"Entity {r}", "101X", *row])
+    return out.getvalue()
+
+
+def parse_outcome(parse, text: str, config: IngestConfig):
+    """The table's values (as bytes), entities and parts, or the error record."""
+    try:
+        table = parse(text, config)
+    except CodaError as exc:
+        return exc.record()
+    return table.values.tobytes(), table.entities, table.parts
+
+
+class TestColumnParse:
+    @pytest.mark.parametrize("locale", ingest.LOCALES)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_cell_parse(self, locale, data):
+        text = data.draw(mixed_tables(locale))
+        config = IngestConfig(locale=locale)
+        expected = parse_outcome(per_cell_parse_table, text, config)
+        assert parse_outcome(parse_table, text, config) == expected
+
+    @pytest.mark.parametrize(
+        "locale, cell, value", [("point_decimal", "1.5e3", 1.5e3), ("eu", '"1.234,5"', 1234.5)]
+    )
+    def test_well_formed_table_never_parses_row_by_row(self, monkeypatch, locale, cell, value):
+        def refuse(*args):
+            raise AssertionError("parsed row by row")
+
+        monkeypatch.setattr(_cells, "parse_rows", refuse)
+        text = csv_doc(*(f"e{r},Entity {r},101X,{cell},{r + 1}" for r in range(50)))
+        table = parse_table(text, IngestConfig(locale=locale))
+        assert table.values[7, 0] == value
 
 
 class TestUnitRegistry:
