@@ -98,7 +98,9 @@ class RankingResult:
 
     ``scores`` and ``exact_log_ratios`` are in table order; ``ordering``
     holds entity ids sorted by descending score with ties broken by
-    ascending entity id. ``fidelity`` is the Pearson correlation between
+    ascending entity id. Equal compositions need not get equal scores: the
+    SVD can give two equal rows points that differ in the last bits, and
+    then the score decides. ``fidelity`` is the Pearson correlation between
     scores and the exact centred log-ratios, ``rank_agreement`` their
     Kendall tau-b.
     """

@@ -9,7 +9,10 @@ Merging is fully deterministic: among pairs at equal distance, the pair with
 the lexicographically smallest (min entity id, max entity id) merges first,
 and a merged cluster keeps the smaller of the two ids. The cut is either a
 target cluster count, a distance threshold, or (default) a threshold placed
-at the largest relative gap between consecutive merge distances.
+at the largest relative gap between consecutive merge distances. The merge
+runs in sorted-id order, so no file depends on the input row order: a
+validated table's rows are already in that order, and hierarchical_cluster
+sorts the ids of a DistanceMatrix, which may list them in any order.
 
 Cost: distances are computed 8 rows at a time through one reused
 8 x n x D float64 buffer (8 n D * 8 bytes). The merge is the generic
@@ -65,7 +68,7 @@ _SYMMETRY_TILE = 128
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric non-negative matrix with zero diagonal, in table entity order."""
+    """Symmetric non-negative matrix with zero diagonal; row r is entity ids[r]."""
 
     ids: tuple[str, ...]
     values: np.ndarray
@@ -259,11 +262,6 @@ def _gap_threshold(history: Sequence[tuple[str, str, float]]) -> float:
     return 0.5 * (ds[best_i] + ds[best_i + 1])
 
 
-def _sorted_order(ids: Sequence[str]) -> list[int]:
-    """Row indices that put ids in sorted order."""
-    return sorted(range(len(ids)), key=ids.__getitem__)
-
-
 def _check_cut(n: int, linkage: str, n_clusters: int | None, threshold: float | None) -> None:
     if linkage not in LINKAGES:
         raise InvalidOptions(f"linkage {linkage!r} not in {LINKAGES}")
@@ -325,7 +323,7 @@ def hierarchical_cluster(
     as it is: the merge works on a copy in sorted-id order.
     """
     _check_cut(dist.n, linkage, n_clusters, threshold)
-    order = _sorted_order(dist.ids)
+    order = sorted(range(dist.n), key=dist.ids.__getitem__)
     ids = [dist.ids[k] for k in order]
     d = np.asarray(dist.values, dtype=np.float64)[np.ix_(order, order)]
     return _cluster(ids, d, linkage, n_clusters, threshold)
@@ -336,17 +334,15 @@ def _cluster_clr(
 ) -> ClusterAssignment:
     """hierarchical_cluster(distance_matrix(clr), ...) with one n x n matrix.
 
-    The distances are computed straight into the merge's working matrix, in
-    sorted-id order; the result and the errors are the public path's for
-    the CLR of a validated table, whose ids are unique.
+    The distances are computed straight into the merge's working matrix;
+    the result and the errors are the public path's for the CLR of a
+    validated table, whose ids are unique and already in sorted order.
     """
     if clr.n < 2:
         raise TooFewRows(f"distance matrix needs n >= 2, got {clr.n}")
     _check_cut(clr.n, linkage, n_clusters, threshold)
-    order = _sorted_order(clr.entity_ids)
-    ids = [clr.entity_ids[k] for k in order]
-    d = _block_distances(clr.values[order])
-    return _cluster(ids, d, linkage, n_clusters, threshold)
+    d = _block_distances(clr.values)
+    return _cluster(clr.entity_ids, d, linkage, n_clusters, threshold)
 
 
 def cluster_profile(
@@ -364,8 +360,7 @@ def cluster_profile(
     if set(assignment.labels) != set(table.entity_ids):
         raise MismatchedEntities("assignment does not cover exactly the table entities")
     c = clr_matrix(table).values
-    # the mean over rows in sorted-id order, so the row order changes no bit
-    z = c - c[_sorted_order(table.entity_ids)].mean(axis=0)
+    z = c - c.mean(axis=0)
     if ratios is None:
         ratios = resolvable_ratios(table, default_ratio_catalog())
 

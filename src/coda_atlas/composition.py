@@ -71,7 +71,8 @@ class IndicatorTable:
 
     Construct through :func:`validate_table`, which enforces positivity,
     finiteness, unique ids/part names and consistent dimensions, and freezes
-    the value matrix read-only.
+    the value matrix read-only. Rows are in id order, so no result depends
+    on the input row order; error coordinates are in input order.
     """
 
     parts: tuple[Part, ...]
@@ -197,12 +198,6 @@ def check_count(name: str, value) -> None:
         raise InvalidOptions(f"{name} must be an integer, got {value!r}")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
-
-
 def _first_offender(mask: np.ndarray) -> tuple[int, int]:
     """Row-major coordinates of the first True cell in a 2-D mask."""
     flat = int(np.flatnonzero(mask.ravel())[0])
@@ -222,6 +217,9 @@ def validate_table(
         Indicator values, one row per entity.
     parts, entities : sequences
         Column and row metadata; lengths must match the matrix.
+
+    Returns the table with its rows in id order (Python string order).
+    Every check runs first, so error coordinates are in input order.
 
     Raises
     ------
@@ -258,7 +256,11 @@ def validate_table(
         r, c = _first_offender(bad)
         raise NonPositiveValue(r, c, float(values[r, c]))
 
-    return IndicatorTable(parts=parts, entities=tuple(entities), values=_freeze(values))
+    order = sorted(range(n), key=lambda r: entities[r].id)
+    values = values[order]  # a copy: the caller's array stays its own
+    values.setflags(write=False)
+    entities = tuple(entities[r] for r in order)
+    return IndicatorTable(parts=parts, entities=entities, values=values)
 
 
 def geometric_mean(row) -> float:
@@ -302,9 +304,8 @@ def clr_matrix(table: IndicatorTable) -> ClrMatrix:
     """Row-wise CLR of the whole table."""
     logs = np.log(table.values)
     vals = logs - logs.mean(axis=1, keepdims=True)
-    return ClrMatrix(
-        values=_freeze(vals), parts=table.parts, entity_ids=table.entity_ids
-    )
+    vals.setflags(write=False)
+    return ClrMatrix(values=vals, parts=table.parts, entity_ids=table.entity_ids)
 
 
 def named_ratio(table: IndicatorTable, definition: RatioDefinition) -> np.ndarray:

@@ -284,9 +284,9 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
     """Parse a CSV indicator table into a validated IndicatorTable.
 
     The header must read id,label,sector_code followed by at least two part
-    columns. Cell failures raise ParseError with 1-based line and column;
-    value-contract failures surface as the usual validation errors with
-    0-based row/column indices into the data block.
+    columns; the table's rows are in id order. Cell failures raise ParseError
+    with 1-based line and column; value-contract failures raise the
+    validation errors with 0-based row/column indices in input order.
     """
     if config is None:
         config = IngestConfig()

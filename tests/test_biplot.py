@@ -343,13 +343,23 @@ class TestRanking:
         assert orderings[0] == orderings[1] == orderings[2]
 
     def test_ties_break_by_entity_id(self):
-        # two entities with identical compositions score identically
+        # "zz" and "aa" are one composition, but the fit scores them a few ulps
+        # apart; copying the point of "zz" onto "aa" makes the tie exact. The
+        # fitted rows are in id order, so they are reversed: "aa" must lead
+        # although its row comes after the row of "zz"
         table = make_table(
             [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [9.0, 1.0, 1.0], [1.0, 9.0, 4.0]],
             ids=["zz", "aa", "mm", "bb"],
         )
         model = fit_biplot(clr_matrix(table), k=2)
+        points = model.points[::-1].copy()
+        ids = model.entity_ids[::-1]
+        row = {entity: r for r, entity in enumerate(ids)}
+        assert row["zz"] < row["aa"]
+        points[row["aa"]] = points[row["zz"]]
+        model = dataclasses.replace(model, points=points, entity_ids=ids)
         result = rank_along_link(model, make_link(model, 0, 1))
+        assert result.scores[row["aa"]] == result.scores[row["zz"]]
         pos_aa, pos_zz = result.ordering.index("aa"), result.ordering.index("zz")
         assert abs(pos_aa - pos_zz) == 1
         assert pos_aa < pos_zz

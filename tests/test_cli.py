@@ -84,6 +84,13 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("NegativeValue:")
 
+    def test_error_names_the_input_row_of_an_unsorted_table(self, tmp_path, capsys):
+        # the zero sits in data row 1, whose id sorts first
+        path = tmp_path / "unsorted.csv"
+        path.write_text("id,label,sector_code,a,b\ne2,Two,1011,3,4\ne1,One,1011,1,0\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "NonPositiveValue:row=1,col=1,value=0.0\n"
+
     def test_csv_reader_error_exits_one_with_one_record(self, tmp_path, capsys):
         path = tmp_path / "cr.csv"
         path.write_bytes(b"id,label,sector_code,a,b\ncr\rid,x,s,1,2\n")
@@ -557,8 +564,8 @@ class TestCsvQuoting:
                 parsed[path.name] = list(csv.reader(io.StringIO(text, newline="")))
         for name, csv_rows in parsed.items():
             assert len({len(row) for row in csv_rows}) == 1, name
-        assert [row[0] for row in parsed["table.csv"][1:]] == all_ids
-        assert [row[0] for row in parsed["clr.csv"][1:]] == all_ids
+        assert [row[0] for row in parsed["table.csv"][1:]] == sorted(all_ids)
+        assert [row[0] for row in parsed["clr.csv"][1:]] == sorted(all_ids)
         assert parsed["clr.csv"][0][-1] == part_name
         assert [row[0] for row in parsed["clusters.csv"][1:]] == sorted(all_ids)
         assert part_name in [row[0] for row in parsed["describe.csv"]]

@@ -5,7 +5,7 @@ import itertools
 import math
 import tempfile
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -100,15 +100,24 @@ def descending_ids(n):
     return [f"k{n - r:04d}" for r in range(n)]
 
 
-def cli_outputs(text: str, *argv: str) -> dict[str, str]:
-    """The files ``coda-atlas <argv> table.csv`` writes for this table."""
+def cli_run(text: str, *argv: str) -> tuple[int, str, dict[str, str]]:
+    """Exit code, stderr and files of ``coda-atlas <argv> table.csv`` on this table."""
     with tempfile.TemporaryDirectory() as work:
         table = Path(work, "table.csv")
         table.write_text(text)
         out = Path(work, "out")
-        with redirect_stdout(io.StringIO()):
-            assert main([argv[0], str(table), *argv[1:], "-o", str(out)]) == 0
-        return {path.name: path.read_text() for path in out.iterdir()}
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([argv[0], str(table), *argv[1:], "-o", str(out)])
+        files = {path.name: path.read_text() for path in out.glob("*")}
+        return code, err.getvalue(), files
+
+
+def cli_outputs(text: str, *argv: str) -> dict[str, str]:
+    """The files ``coda-atlas <argv> table.csv`` writes for this table."""
+    code, err, files = cli_run(text, *argv)
+    assert code == 0, err
+    return files
 
 
 def brute_force_merges(dist: DistanceMatrix, linkage: str):
@@ -308,11 +317,11 @@ class TestOwnedMatrixPath:
         assert peak <= 1.3 * n * n * 8
 
     @given(
-        st.integers(3, 40), st.integers(2, 10), st.sampled_from(LINKAGES),
-        st.integers(0, 2**32 - 1), st.booleans(), st.data(),
+        st.integers(3, 40), st.integers(2, 10), st.integers(0, 2**32 - 1),
+        st.booleans(), st.data(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_reordering_rows_changes_no_cluster_file(self, n, D, linkage, seed, ties, data):
+    def test_reordering_rows_changes_no_file(self, n, D, seed, ties, data):
         rng = np.random.default_rng(seed)
         values = np.exp(rng.normal(size=(n, D)))
         if ties:
@@ -320,11 +329,13 @@ class TestOwnedMatrixPath:
         ids = descending_ids(n)
         perm = data.draw(st.permutations(range(n)))
         texts = [table_text(values, ids), table_text(values[perm], [ids[p] for p in perm])]
-        cluster = [cli_outputs(text, "cluster", "--linkage", linkage) for text in texts]
-        assert cluster[0] == cluster[1]
-        assert sorted(cluster[0]) == ["cluster_profiles.json", "clusters.csv", "merges.json"]
-        clr = [cli_outputs(text, "clr")["clr.csv"].splitlines(keepends=True) for text in texts]
-        assert clr[1] == clr[0][:1] + [clr[0][1 + p] for p in perm]
+        pipeline = [cli_run(text, "pipeline") for text in texts]
+        assert pipeline[0] == pipeline[1]
+        # only a table the rank-2 fit rejects fails: D = 2, or every row tied
+        assert (pipeline[0][0] == 0) == (D > 2 and not (ties and n == 3)), pipeline[0][1]
+        for linkage in LINKAGES:
+            cluster = [cli_outputs(text, "cluster", "--linkage", linkage) for text in texts]
+            assert cluster[0] == cluster[1]
 
 
 class TestHierarchicalCluster:

@@ -131,9 +131,11 @@ class TestValidateTable:
             make_table([[1.0, 2.0], [float("inf"), 4.0]])
 
     def test_first_offender_is_row_major(self):
-        with pytest.raises(NonPositiveValue) as info:
-            make_table([[1.0, 2.0, 3.0], [4.0, 0.0, 0.0]])
-        assert (info.value.row, info.value.col) == (1, 1)
+        # with reverse-sorted ids too: coordinates are input rows, not id order
+        for ids in (None, ["b", "a"]):
+            with pytest.raises(NonPositiveValue) as info:
+                make_table([[1.0, 2.0, 3.0], [4.0, 0.0, 0.0]], ids=ids)
+            assert (info.value.row, info.value.col) == (1, 1)
 
     def test_single_part_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -183,6 +185,14 @@ class TestValidateTable:
         assert not table.values.flags.writeable
         with pytest.raises(ValueError):
             table.values[0, 0] = 5.0
+
+    def test_rows_in_id_order_in_a_copy(self):
+        raw = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        table = make_table(raw, ids=["k10", "k9", "a"])
+        assert table.entity_ids == ("a", "k10", "k9")
+        assert [e.label for e in table.entities] == ["Entity a", "Entity k10", "Entity k9"]
+        assert table.values.tolist() == [[5.0, 6.0], [1.0, 2.0], [3.0, 4.0]]
+        assert not np.shares_memory(table.values, raw)
 
     def test_part_role_must_be_known(self):
         with pytest.raises(CodaError):
