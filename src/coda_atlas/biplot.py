@@ -15,12 +15,13 @@ min(n-1, D-1); the model keeps exactly that many components.
 
 Output is deterministic: no randomized algorithms, and each right-singular
 vector is oriented so that its largest-magnitude coordinate is positive.
-Tables of up to 1024 rows are decomposed by LAPACK's SVD of Z itself.
-Taller ones go through blocked TSQR (Demmel, Grigori, Hoemmen & Langou,
-arXiv:0808.2664) and the SVD of its D x D triangular factor R (Chan's
-R-SVD, 1982), and the points are Z V_k S_k^(alpha-1): LAPACK's SVD of a
-tall matrix changes in its last bits with the OpenBLAS thread count, while
-the QR of 1024-row blocks and of the small R do not (a test pins this).
+Every table is decomposed one way: blocked TSQR (Demmel, Grigori, Hoemmen
+& Langou, arXiv:0808.2664) gives the triangular factor R of Z, whose SVD
+(Chan's R-SVD, 1982) has Z's singular values and right-singular vectors,
+and the points are Z V_k S_k^(alpha-1). Up to 1024 rows TSQR is one QR.
+LAPACK's SVD of a tall Z changes in its last bits with the OpenBLAS thread
+count, while the QR of 1024 x 32 blocks and of the small R do not (a test
+pins this at 20000 x 32); with 200 parts or more the QR does as well.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from ._fmt import RawJson, check_finite, csv_fields, dumps_json, fill_rows
 #: Relative spread below which a score/log-ratio series counts as constant.
 _CONSTANT_RTOL = 1e-12
 
-#: rows per TSQR block; a centred matrix of at most this many rows, or one
-#: wider than half of it, is decomposed by LAPACK's SVD directly
+#: rows per TSQR block, or 2 D when that is more; a centred matrix of at
+#: most that many rows is factored by a single QR
 _TSQR_BLOCK_ROWS = 1024
 
 
@@ -123,31 +124,28 @@ def center_columns(clr: ClrMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tsqr_r(a: np.ndarray) -> np.ndarray:
-    """The R factor of a tall matrix: QR of each block, then of the stacked Rs.
+    """The R factor of a matrix: QR of each block, then of the stacked Rs.
 
-    Each pass replaces every _TSQR_BLOCK_ROWS rows by their min(rows, D) x D
-    R factor, until one block is left. Needs 2 D <= _TSQR_BLOCK_ROWS, so a
-    pass at least halves the rows.
+    Each pass replaces every block of max(_TSQR_BLOCK_ROWS, 2 D) rows by
+    its min(rows, D) x D R factor, until one block is left; a block of at
+    least 2 D rows shrinks to D, so a pass about halves the rows.
     """
-    while a.shape[0] > _TSQR_BLOCK_ROWS:
-        blocks = range(0, a.shape[0], _TSQR_BLOCK_ROWS)
-        a = np.vstack([np.linalg.qr(a[lo:lo + _TSQR_BLOCK_ROWS], mode="r") for lo in blocks])
+    rows = max(_TSQR_BLOCK_ROWS, 2 * a.shape[1])
+    while a.shape[0] > rows:
+        blocks = range(0, a.shape[0], rows)
+        a = np.vstack([np.linalg.qr(a[lo:lo + rows], mode="r") for lo in blocks])
     return np.linalg.qr(a, mode="r")
 
 
 def _centered_svd(clr: ClrMatrix):
-    """(centered, column_means, u, s, vt): the thin SVD of the centred matrix.
+    """(centered, column_means, s, vt): s and vt of the TSQR factor R.
 
-    Above one TSQR block (and for 2 D within it), s and vt are those of the
-    TSQR factor R, and u is None: U is centered @ vt.T / s. LAPACK failure
-    is SvdFailure.
+    They are the singular values and right-singular vectors of the centred
+    matrix; its U is centered @ vt.T / s. LAPACK failure is SvdFailure.
     """
     centered, means = center_columns(clr)
-    n, D = centered.shape
     try:
-        if n > _TSQR_BLOCK_ROWS >= 2 * D:
-            return (centered, means, None, *np.linalg.svd(_tsqr_r(centered))[1:])
-        return (centered, means, *np.linalg.svd(centered, full_matrices=False))
+        return (centered, means, *np.linalg.svd(_tsqr_r(centered), full_matrices=False)[1:])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SvdFailure(str(exc)) from exc
 
@@ -160,7 +158,7 @@ def singular_spectrum(clr: ClrMatrix) -> np.ndarray:
     ``singular_values`` bit for bit, and the trailing ones are structural
     zeros.
     """
-    return _centered_svd(clr)[3]
+    return _centered_svd(clr)[2]
 
 
 def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
@@ -191,7 +189,7 @@ def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
     if not 1 <= k <= m:
         raise RankRequestTooLarge(f"k={k} not in [1, min(n-1, D-1)={m}]")
 
-    centered, column_means, u, s, vt = _centered_svd(clr)
+    centered, column_means, s, vt = _centered_svd(clr)
     if s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(clr.values))):
         raise DegenerateVariance("all rows carry the same composition")
 
@@ -201,16 +199,14 @@ def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
         lead = int(np.argmax(np.abs(vt[comp])))
         if vt[comp, lead] < 0.0:
             vt[comp] = -vt[comp]
-            if u is not None:
-                u[:, comp] = -u[:, comp]
 
     s_m = s[:m]
     s2 = s_m**2
     explained = s2 / s2.sum()
-    if u is None:
-        points = (centered @ vt[:k].T) * s_m[:k] ** (alpha - 1.0)
-    else:
-        points = u[:, :k] * s_m[:k] ** alpha
+    # A zero singular value leaves its U column undefined: its points are 0.
+    with np.errstate(divide="ignore"):
+        scale = np.where(s_m[:k] > 0.0, s_m[:k] ** (alpha - 1.0), 0.0)
+    points = (centered @ vt[:k].T) * scale
     rays = vt[:k].T * s_m[:k] ** (1.0 - alpha)
 
     def frozen(a: np.ndarray) -> np.ndarray:

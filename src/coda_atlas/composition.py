@@ -327,8 +327,7 @@ def log_ratio_series(table: IndicatorTable, definition: RatioDefinition) -> np.n
     numerator and denominator negates every value.
     """
     i, j = definition.resolve(table)
-    logs = np.log(table.values)
-    return logs[:, i] - logs[:, j]
+    return np.log(table.values[:, i]) - np.log(table.values[:, j])
 
 
 def replace_zeros(raw_values, strategy: str = "reject", delta: float = 0.65) -> np.ndarray:

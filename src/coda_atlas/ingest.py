@@ -326,7 +326,8 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
     ids, labels, sectors, values = parsed
     entities = list(map(Entity, ids, labels, sectors))
 
-    raw = np.asarray(values, dtype=float) * np.asarray(factors, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is validate_table's NonFiniteValue
+        raw = np.asarray(values, dtype=float) * np.asarray(factors, dtype=float)
     mode, delta = config._zero_mode()
     raw = replace_zeros(raw, strategy=mode, delta=delta)
     return validate_table(raw, parts, entities)

@@ -6,7 +6,8 @@ These deliberately avoid the library calls they are checking:
   symmetric matrices, used to verify the LAPACK-backed SVD (singular values
   of Z are the square roots of the eigenvalues of Z^T Z).
 * ``lapack_biplot`` is the biplot fit as one LAPACK SVD of the whole
-  centred matrix, the fit that the TSQR path replaces above 1024 rows.
+  centred matrix Z. The production fit takes the SVD of Z's TSQR factor R
+  for every table and never calls LAPACK's SVD of Z.
 * ``brute_force_ranking`` sorts entities by the raw pairwise log-ratio
   directly from table values, used to verify biplot projection rankings.
 * ``linear_quantile`` re-implements the interpolated quantile definition

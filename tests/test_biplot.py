@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coda_atlas import (
@@ -78,6 +80,29 @@ def log_matrices(max_n: int, max_D: int):
             )
         )
     )
+
+
+def repeated_rows(max_n: int, max_D: int, max_kinds: int, cell):
+    """n x D lists whose rows repeat up to max_kinds compositions drawn from cell.
+
+    A few kinds make tied rows and a centred matrix of rank below
+    min(n-1, D-1), so some retained singular values are zero.
+    """
+    return st.integers(2, max_D).flatmap(
+        lambda D: st.tuples(
+            st.lists(st.lists(cell, min_size=D, max_size=D), min_size=1, max_size=max_kinds),
+            st.lists(st.integers(0, max_kinds - 1), min_size=3, max_size=max_n),
+        )
+    ).map(lambda pair: [pair[0][kind % len(pair[0])] for kind in pair[1]])
+
+
+#: powers of 2, whose logs repeat exactly; a narrow range makes parts
+#: that are equal in every composition, which is where exact zeros show up
+powers_of_two = st.integers(0, 2).map(lambda e: 2.0**e)
+
+#: 17 rows alternating between two compositions: the third singular value
+#: of the centred matrix is exactly 0
+TWO_COMPOSITIONS = [[2.0, 2.0, 2.0, 2.0, 2.0], [2.0, 1.0, 4.0, 2.0, 2.0]] * 8 + [[2.0] * 5]
 
 
 def assert_spectrum_is_the_model_spectrum(clr):
@@ -193,6 +218,21 @@ class TestFitBiplot:
             fit_biplot(clr, k=k)
         assert fit_biplot(clr, k=np.int64(2)).points.shape == (5, 2)
 
+    @given(repeated_rows(40, 6, 3, powers_of_two), st.floats(0.0, 1.0), st.integers(1, 5))
+    @example(rows=TWO_COMPOSITIONS, alpha=0.0, k=3)
+    @settings(max_examples=200, deadline=None)
+    def test_points_and_rays_are_finite_on_repeated_compositions(self, rows, alpha, k):
+        clr = clr_matrix(make_table(rows))
+        k = min(k, clr.n - 1, clr.D - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                model = fit_biplot(clr, alpha=alpha, k=k)
+            except DegenerateVariance:
+                return  # one composition: nothing to fit
+        assert np.all(np.isfinite(model.points))
+        assert np.all(np.isfinite(model.rays))
+
     def test_identical_compositions_degenerate(self):
         # rows proportional -> identical CLR rows -> zero centred matrix
         table = make_table([[1.0, 2.0, 4.0], [2.0, 4.0, 8.0], [4.0, 8.0, 16.0]])
@@ -200,20 +240,33 @@ class TestFitBiplot:
             fit_biplot(clr_matrix(table), k=1)
 
 
-class TestTsqrFit:
-    """Above 1024 rows the fit goes through TSQR; LAPACK's SVD is the oracle."""
+def assert_fit_matches_lapack_svd(clr):
+    centered, _ = center_columns(clr)
+    for alpha in (1.0, 0.5):
+        model = fit_biplot(clr, alpha=alpha, k=2)
+        s, points = lapack_biplot(centered, alpha, 2)
+        assert np.max(np.abs(singular_spectrum(clr) - s)) <= 1e-12 * s[0]
+        m = len(model.singular_values)  # min(n - 1, D - 1)
+        assert np.max(np.abs(model.singular_values - s[:m])) <= 1e-12 * s[0]
+        assert np.max(np.abs(model.points - points)) <= 1e-10 * np.max(np.abs(points))
 
-    @pytest.mark.parametrize("n, seed", [(1025, 11), (5000, 2), (20000, 5)])
+
+class TestTsqrFit:
+    """Every table is fitted through its TSQR factor R; LAPACK's SVD of Z is the oracle.
+
+    Up to 1024 rows the factor is one QR, above that a blocked one.
+    """
+
+    @pytest.mark.parametrize(
+        "n, seed", [(3, 1), (17, 1), (400, 7), (1024, 1), (1025, 11), (5000, 2), (20000, 5)]
+    )
     def test_matches_lapack_svd(self, n, seed):
-        clr = clr_matrix(parse_table(perfbench_table_csv(n, 32, seed)))
-        centered, _ = center_columns(clr)
-        for alpha in (1.0, 0.5):
-            model = fit_biplot(clr, alpha=alpha, k=2)
-            s, points = lapack_biplot(centered, alpha, 2)
-            assert np.max(np.abs(singular_spectrum(clr) - s)) <= 1e-12 * s[0]
-            m = len(model.singular_values)  # min(n - 1, D - 1)
-            assert np.max(np.abs(model.singular_values - s[:m])) <= 1e-12 * s[0]
-            assert np.max(np.abs(model.points - points)) <= 1e-10 * np.max(np.abs(points))
+        assert_fit_matches_lapack_svd(clr_matrix(parse_table(perfbench_table_csv(n, 32, seed))))
+
+    def test_wide_table_matches_lapack_svd(self, rng):
+        # 600 parts make the blocks 2 D = 1200 rows: 2500 rows take two
+        # blocked passes (2500 -> 1300 -> 700) before the last QR
+        assert_fit_matches_lapack_svd(clr_matrix(random_table(rng, 2500, 600)))
 
     def test_full_rank_recovers_centred_matrix(self, rng):
         clr = clr_matrix(random_table(rng, 1500, 5))
@@ -341,6 +394,29 @@ class TestRanking:
                 )
             )
         assert orderings[0] == orderings[1] == orderings[2]
+
+    @given(
+        repeated_rows(20, 6, 20, st.one_of(powers_of_two, st.floats(-5.0, 5.0).map(math.exp))),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scores_are_alpha_invariant(self, rows, k):
+        clr = clr_matrix(make_table(rows))
+        k = min(k, clr.n - 1, clr.D - 1)
+        try:
+            models = [fit_biplot(clr, alpha=alpha, k=k) for alpha in (1.0, 0.5, 0.0)]
+        except DegenerateVariance:
+            return  # one composition: nothing to fit
+        for i, j in combinations(range(clr.D), 2):
+            links = [make_link(model, i, j) for model in models]
+            if any(link.degenerate for link in links):
+                continue
+            base, *others = (rank_along_link(*pair).scores for pair in zip(models, links))
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(base))))
+            apart = base[:, None] - base[None, :] > tol
+            for scores in others:
+                assert np.max(np.abs(scores - base)) <= tol
+                assert np.all((scores[:, None] > scores[None, :])[apart])
 
     def test_ties_break_by_entity_id(self):
         # "zz" and "aa" are one composition, but the fit scores them a few ulps

@@ -168,6 +168,27 @@ class TestBiplot:
         assert len(doc["points"]) == 17
         assert len(doc["points"][0]["coords"]) == 3
 
+    @pytest.mark.parametrize("n", [17, 1025])
+    def test_zero_singular_values_give_zero_points(self, n, tmp_path, capsys):
+        # two alternating compositions: centred, the table has rank 1, and at
+        # either size a retained singular value is exactly 0
+        rows = [f"e{r:04d},x,s," + ("2,1,4,2,2" if r % 2 else "2,2,2,2,2") for r in range(n)]
+        path = tmp_path / "two.csv"
+        path.write_text("\n".join(["id,label,sector_code,p0,p1,p2,p3,p4", *rows]) + "\n")
+        out_dir = tmp_path / "reports"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["biplot", str(path), "--alpha", "0", "--rank", "3", "-o", str(out_dir)]
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out_dir / "model.json").read_text())
+        points = np.array([record["coords"] for record in doc["points"]], dtype=float)
+        rays = np.array([record["coords"] for record in doc["rays"]], dtype=float)
+        assert np.all(np.isfinite(points)) and np.all(np.isfinite(rays))
+        zero = np.array(doc["singular_values"][:3]) == 0.0
+        assert zero.any()
+        assert np.all(points[:, zero] == 0.0)
+
     def test_invalid_alpha_exits_one(self, table_csv, tmp_path, capsys):
         code = main(["biplot", table_csv, "--alpha", "1.5", "-o", str(tmp_path)])
         assert code == 1
@@ -315,6 +336,21 @@ class TestNumericRange:
         entries = json.loads((out_dir / "pathology.json").read_text())["ratios"]
         intensity = next(e for e in entries if e["ratio"] == "energy_intensity")
         assert intensity["status"] == "not_applicable"
+
+
+    def test_overflowing_unit_conversion_is_one_error_record(self, tmp_path, capsys):
+        # 1e306 GWh is finite, but 1e309 MWh, its value in the canonical unit, is not
+        table = tmp_path / "energy.csv"
+        table.write_text(
+            "id,label,sector_code,net_revenue,total_assets,total_liabilities,energy_consumption\n"
+            "e1,One,1011,10,40,20,1e306\ne2,Two,1011,20,35,10,5\ne3,Three,1011,15,90,30,4\n"
+        )
+        config = tmp_path / "config.json"
+        config.write_text(IngestConfig(unit_map={"energy_consumption": "GWh"}).to_json())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(table), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "NonFiniteValue:row=0,col=3,value=inf\n"
 
 
 class TestConfigFlag:
