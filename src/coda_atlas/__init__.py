@@ -50,7 +50,6 @@ from .errors import CodaError
 from .ingest import (
     DEFAULT_PART_SCHEMA,
     IngestConfig,
-    UnitRegistry,
     parse_table,
     serialize_table,
     table_config,
@@ -107,7 +106,6 @@ __all__ = [
     "RankingResult",
     "RatioDefinition",
     "RenderOptions",
-    "UnitRegistry",
     "aitchison_distance",
     "assignment_csv",
     "clr",

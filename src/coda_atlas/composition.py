@@ -362,12 +362,10 @@ def replace_zeros(raw_values, strategy: str = "reject", delta: float = 0.65) -> 
     if not 0.0 < delta <= 1.0:
         raise InvalidOptions(f"delta must be in (0, 1], got {delta}")
 
-    for r in range(values.shape[0]):
+    for r in np.flatnonzero((values == 0.0).any(axis=1)).tolist():
         row = values[r]
         zeros = row == 0.0
         z = int(zeros.sum())
-        if z == 0:
-            continue
         positive = row[~zeros]
         if positive.size == 0:
             raise DegenerateRow(r)

@@ -6,14 +6,12 @@ demo and the end-to-end tests run on a seeded synthetic table whose shape
 echo published sector aggregates. It is synthetic everywhere it appears:
 ids are g01..g17 and labels say so.
 
-The generator is a seeded log-normal draw per part; the environment
-variable CODA_ATLAS_SEED overrides the default seed so alternative fixture
-populations can be produced without code changes.
+The generator is a seeded log-normal draw per part; pass a seed for
+another population, the default seed gives the bundled fixture.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 import numpy as np
@@ -22,7 +20,6 @@ from .composition import Entity, IndicatorTable, Part, validate_table
 from .ingest import DEFAULT_PART_SCHEMA, serialize_table
 
 DEFAULT_SEED = 101102
-SEED_ENV_VAR = "CODA_ATLAS_SEED"
 
 _N_ENTITIES = 17
 _N_SECTOR_A = 11
@@ -40,12 +37,6 @@ _PART_SCALES = {
 }
 
 
-def fixture_seed() -> int:
-    """The active generator seed (CODA_ATLAS_SEED override or the default)."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else DEFAULT_SEED
-
-
 def synthetic_table(seed: int | None = None) -> IndicatorTable:
     """Generate the synthetic 17x8 indicator table.
 
@@ -53,9 +44,7 @@ def synthetic_table(seed: int | None = None) -> IndicatorTable:
     to 4 significant digits to resemble reported figures. The first 11
     entities carry sector code 101X, the remaining 6 carry 102X.
     """
-    if seed is None:
-        seed = fixture_seed()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 
     parts = [
         Part(index=i, name=name, unit=unit, role=role)

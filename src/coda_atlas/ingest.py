@@ -3,9 +3,9 @@
 Input tables arrive as CSV with a fixed header prefix (id, label,
 sector_code) followed by one column per part. Cells are parsed per locale
 (point-decimal, or EU style with dot as thousands separator and comma as
-decimal), converted to canonical units through an extensible registry, run
-through the configured zero strategy and finally validated into an
-IndicatorTable.
+decimal), converted to canonical units by the factors of the config's unit
+table, run through the configured zero strategy and finally validated into
+an IndicatorTable.
 
 Cells are parsed a column at a time: when every data row has the header's
 width and a non-empty id, each part column is checked against its locale's
@@ -52,6 +52,7 @@ from .errors import (
     InvalidOptions,
     IoFailure,
     ParseError,
+    UnknownPart,
     UnknownUnit,
 )
 
@@ -82,55 +83,35 @@ DEFAULT_PART_SCHEMA: dict[str, tuple[str, str]] = {
 }
 
 
-class UnitRegistry:
-    """Canonical units plus multiplicative conversions into them.
+#: units that are their own canonical unit
+_CANONICAL_UNITS = ("EUR_MM", "MWh", "m3", "t", "headcount", "unitless")
 
-    The default registry knows EUR_MM, MWh, m3, t, headcount and unitless,
-    with the common prefixed neighbours (EUR, GWh, kWh, L, kg, kt). More
-    canonical units and conversions can be registered at runtime; factors
-    must be strictly positive and conversions compose by plain
-    multiplication.
-    """
+#: unit → (canonical unit, multiplicative factor into it)
+_CONVERSIONS = {
+    "EUR": ("EUR_MM", 1e-6),
+    "GWh": ("MWh", 1e3),
+    "kWh": ("MWh", 1e-3),
+    "L": ("m3", 1e-3),
+    "kg": ("t", 1e-3),
+    "kt": ("t", 1e3),
+}
 
-    def __init__(self):
-        self._canonical: set[str] = set()
-        self._conversions: dict[str, tuple[str, float]] = {}
 
-    @classmethod
-    def default(cls) -> "UnitRegistry":
-        reg = cls()
-        for unit in ("EUR_MM", "MWh", "m3", "t", "headcount", "unitless"):
-            reg.add_canonical(unit)
-        reg.add_conversion("EUR", "EUR_MM", 1e-6)
-        reg.add_conversion("GWh", "MWh", 1e3)
-        reg.add_conversion("kWh", "MWh", 1e-3)
-        reg.add_conversion("L", "m3", 1e-3)
-        reg.add_conversion("kg", "t", 1e-3)
-        reg.add_conversion("kt", "t", 1e3)
-        return reg
-
-    def add_canonical(self, unit: str) -> None:
-        if not unit:
-            raise InvalidOptions("canonical unit name must be non-empty")
-        self._canonical.add(unit)
-
-    def add_conversion(self, unit: str, canonical: str, factor: float) -> None:
-        if canonical not in self._canonical:
-            raise UnknownUnit(f"target unit {canonical!r} is not canonical")
+def _unit_table(extra_canonical_units, extra_conversions) -> dict[str, tuple[str, float]]:
+    """Every known unit → (canonical unit, factor); each unit is defined once."""
+    canonical = {*_CANONICAL_UNITS, *extra_canonical_units}
+    if "" in canonical:
+        raise InvalidOptions("canonical unit name must be non-empty")
+    for target, factor in extra_conversions.values():
+        if target not in canonical:
+            raise UnknownUnit(f"target unit {target!r} is not canonical")
         if not (factor > 0.0 and np.isfinite(factor)):
             raise InvalidOptions(f"conversion factor must be positive, got {factor}")
-        self._conversions[unit] = (canonical, float(factor))
-
-    def is_canonical(self, unit: str) -> bool:
-        return unit in self._canonical
-
-    def resolve(self, unit: str) -> tuple[str, float]:
-        """Map a declared unit to (canonical unit, multiplicative factor)."""
-        if unit in self._canonical:
-            return unit, 1.0
-        if unit in self._conversions:
-            return self._conversions[unit]
-        raise UnknownUnit(f"unit {unit!r} is not registered")
+    dup = duplicated([*_CANONICAL_UNITS, *_CONVERSIONS, *extra_canonical_units, *extra_conversions])
+    if dup:
+        raise InvalidOptions(f"unit {dup[0]!r} is defined twice")
+    extras = {unit: (target, float(f)) for unit, (target, f) in extra_conversions.items()}
+    return {unit: (unit, 1.0) for unit in canonical} | _CONVERSIONS | extras
 
 
 def _is_number(x) -> bool:
@@ -185,9 +166,15 @@ class IngestConfig:
 
     zero_strategy is either the string "reject" or a mapping
     {"multiplicative": delta} with delta in (0, 1]. extra_canonical_units and
-    extra_conversions extend the default unit registry; extra_conversions
-    maps a unit name to (canonical unit, factor). Ratio names are unique and
-    use only ``[A-Za-z0-9_.-]``, because they name output files.
+    extra_conversions extend the built-in units; extra_conversions maps a
+    unit name to (canonical unit, factor). Ratio names are unique and use
+    only ``[A-Za-z0-9_.-]``, because they name output files.
+
+    The known units are one table, built when the config is created: each
+    unit is defined once, so a built-in unit named again among the extras,
+    or an extra named twice, is InvalidOptions. unit_map maps column names
+    to declared units, and every key must name a column of the parsed
+    table (UnknownPart otherwise).
     """
 
     locale: str = "point_decimal"
@@ -198,6 +185,7 @@ class IngestConfig:
     )
     extra_canonical_units: tuple[str, ...] = ()
     extra_conversions: dict[str, tuple[str, float]] = field(default_factory=dict)
+    _units: dict[str, tuple[str, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.locale not in LOCALES:
@@ -210,10 +198,11 @@ class IngestConfig:
         if dup:
             raise InvalidOptions(f"duplicate ratio names: {dup}")
         self._zero_mode()  # validates
-        registry = self.registry()
+        units = _unit_table(self.extra_canonical_units, self.extra_conversions)
+        object.__setattr__(self, "_units", units)
         for column, unit in self.unit_map.items():
             try:
-                registry.resolve(unit)
+                self.resolve_unit(unit)
             except UnknownUnit as exc:
                 raise UnknownUnit(f"column {column!r}: {exc.detail()}") from exc
 
@@ -228,13 +217,12 @@ class IngestConfig:
             return "multiplicative", delta
         raise InvalidOptions(f"unrecognized zero strategy {strategy!r}")
 
-    def registry(self) -> UnitRegistry:
-        reg = UnitRegistry.default()
-        for unit in self.extra_canonical_units:
-            reg.add_canonical(unit)
-        for unit, (canonical, factor) in self.extra_conversions.items():
-            reg.add_conversion(unit, canonical, factor)
-        return reg
+    def resolve_unit(self, unit: str) -> tuple[str, float]:
+        """Map a declared unit to (canonical unit, multiplicative factor)."""
+        try:
+            return self._units[unit]
+        except KeyError:
+            raise UnknownUnit(f"unit {unit!r} is not registered") from None
 
     def to_json(self) -> str:
         doc = {
@@ -309,12 +297,14 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
             )
     part_names = header[3:]
 
-    registry = config.registry()
+    missing = sorted(set(config.unit_map) - set(part_names))
+    if missing:
+        raise UnknownPart(f"unit_map column {missing[0]!r} is not in the table")
     parts = []
     factors = []
     for index, name in enumerate(part_names):
         schema_unit, schema_role = DEFAULT_PART_SCHEMA.get(name, ("unitless", None))
-        canonical, factor = registry.resolve(config.unit_map.get(name, schema_unit))
+        canonical, factor = config.resolve_unit(config.unit_map.get(name, schema_unit))
         role = schema_role or _ROLE_FOR_UNIT.get(canonical, "financial")
         parts.append(Part(index=index, name=name, unit=canonical, role=role))
         factors.append(factor)
@@ -350,16 +340,13 @@ def serialize_table(table: IndicatorTable) -> str:
 def table_config(table: IndicatorTable) -> IngestConfig:
     """A config under which serialize_table(table) parses back exactly.
 
-    Declares each part's canonical unit and registers any units the default
-    registry does not know.
+    Declares each part's unit, and as canonical each unit that is not a
+    built-in one.
     """
-    default_registry = UnitRegistry.default()
-    extra = tuple(
-        sorted({p.unit for p in table.parts if not default_registry.is_canonical(p.unit)})
-    )
+    extra = sorted({p.unit for p in table.parts} - set(_CANONICAL_UNITS))
     return IngestConfig(
         unit_map={p.name: p.unit for p in table.parts},
-        extra_canonical_units=extra,
+        extra_canonical_units=tuple(extra),
     )
 
 

@@ -71,11 +71,6 @@ def fail_nth_open(monkeypatch, module, n: int) -> None:
     monkeypatch.setattr(module, "open", failing_open, raising=False)
 
 
-@pytest.fixture(autouse=True)
-def _no_seed_override(monkeypatch):
-    monkeypatch.delenv("CODA_ATLAS_SEED", raising=False)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)

@@ -23,6 +23,10 @@ These deliberately avoid the library calls they are checking:
   column-at-a-time parse: one ``float()`` call per cell after a per-cell
   grammar check. The production parser must give the same table, values
   bit for bit, or the same error record.
+* ``per_row_replace_zeros`` is multiplicative zero replacement as it was
+  before it visited only the rows that hold a zero: one pass over every
+  row. The production function must give the same values bit for bit, or
+  the same error record.
 * ``per_cell_serialize_table``, ``per_cell_clr_csv``,
   ``per_cell_ranking_csv``, ``per_cell_describe_csv``,
   ``per_cell_assignment_csv``, ``per_cell_dumps_json`` and
@@ -48,9 +52,11 @@ from coda_atlas.biplot import make_link
 from coda_atlas.composition import Entity, Part, replace_zeros, validate_table
 from coda_atlas.errors import (
     DegenerateLink,
+    DegenerateRow,
     EmptyInput,
     MismatchedEntities,
     ParseError,
+    UnknownPart,
     UnknownRatio,
     UnsupportedRank,
 )
@@ -282,11 +288,13 @@ def per_cell_parse_table(data, config=None):
                 reason=f"expected header column {expected!r}",
             )
     part_names = header[3:]
-    registry = config.registry()
+    missing = sorted(set(config.unit_map) - set(part_names))
+    if missing:
+        raise UnknownPart(f"unit_map column {missing[0]!r} is not in the table")
     parts, factors = [], []
     for index, name in enumerate(part_names):
         schema_unit, schema_role = DEFAULT_PART_SCHEMA.get(name, ("unitless", None))
-        canonical, factor = registry.resolve(config.unit_map.get(name, schema_unit))
+        canonical, factor = config.resolve_unit(config.unit_map.get(name, schema_unit))
         role = schema_role or _ROLE_FOR_UNIT.get(canonical, "financial")
         parts.append(Part(index=index, name=name, unit=canonical, role=role))
         factors.append(factor)
@@ -312,6 +320,31 @@ def per_cell_parse_table(data, config=None):
     raw = np.asarray(values, dtype=float) * np.asarray(factors, dtype=float)
     mode, delta = config._zero_mode()
     return validate_table(replace_zeros(raw, strategy=mode, delta=delta), parts, entities)
+
+
+def per_row_replace_zeros(raw_values, delta: float) -> np.ndarray:
+    """Multiplicative zero replacement visiting every row, zeros or not."""
+    values = np.array(raw_values, dtype=float, copy=True)
+    for r in range(values.shape[0]):
+        row = values[r]
+        zeros = row == 0.0
+        z = int(zeros.sum())
+        if z == 0:
+            continue
+        positive = row[~zeros]
+        if positive.size == 0:
+            raise DegenerateRow(r)
+        repl = delta * float(positive.min())
+        row_sum = float(row.sum())
+        factor = 1.0 - z * repl / row_sum
+        if factor <= 0.0:
+            raise DegenerateRow(r, reason=f"too many zeros for delta={delta}")
+        rescaled = positive * factor
+        if repl == 0.0 or not rescaled.all():
+            raise DegenerateRow(r, reason="replacement underflows to zero")
+        values[r, ~zeros] = rescaled
+        values[r, zeros] = repl
+    return values
 
 
 class _Line:

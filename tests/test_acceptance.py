@@ -36,6 +36,7 @@ from coda_atlas import (
     synthetic_table,
 )
 from coda_atlas.cli import main
+from coda_atlas.fixture import DEFAULT_SEED
 from coda_atlas.ingest import DEFAULT_PART_SCHEMA
 
 from conftest import make_table, random_table
@@ -290,3 +291,9 @@ def test_pipeline_is_deterministic(tmp_path, capsys):
         rays = [el for el in root.iter() if el.get("class") == "ray"]
         assert len(points) == 17
         assert len(rays) == 8
+
+
+def test_fixture_seed_is_not_read_from_the_environment(monkeypatch):
+    monkeypatch.setenv("CODA_ATLAS_SEED", "7")
+    assert synthetic_csv() == synthetic_csv(DEFAULT_SEED)
+    assert synthetic_csv() != synthetic_csv(7)

@@ -414,6 +414,21 @@ class TestConfigFlag:
             doc_a["singular_values"], doc_b["singular_values"], rtol=1e-9
         )
 
+    def test_unit_map_key_without_a_column_is_one_error_record(self, tmp_path, capsys):
+        table = tmp_path / "fixture.csv"
+        table.write_text(synthetic_csv())
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"unit_map": {"energy_consumptoin": "GWh"}}')
+        out_dir = tmp_path / "reports"
+        args = ["describe", str(table), "--config", str(config_path), "-o", str(out_dir)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "UnknownPart:unit_map column 'energy_consumptoin' is not in the table\n"
+        )
+        assert not out_dir.exists()
+
 
 class TestConfigDocuments:
     @pytest.mark.parametrize(
@@ -432,12 +447,13 @@ class TestConfigDocuments:
             '{"ratio_catalog": ['
             '{"name": "s", "numerator": "total_assets", "denominator": "net_revenue"},'
             '{"name": "s", "numerator": "net_revenue", "denominator": "total_assets"}]}',
+            '{"extra_conversions": {"MWh": ["t", 2.0]}}',
         ],
         ids=[
             "ratio-without-parts", "ratio-unknown-key", "catalog-not-a-list",
             "ratio-name-not-a-string", "unit-map-not-an-object", "unit-not-a-string",
             "delta-not-a-number", "units-not-a-list", "factor-not-a-number",
-            "conversion-not-a-pair", "duplicate-ratio-names",
+            "conversion-not-a-pair", "duplicate-ratio-names", "unit-defined-twice",
         ],
     )
     def test_malformed_config_is_one_error_record(self, document, table_csv, tmp_path, capsys):

@@ -39,6 +39,7 @@ from coda_atlas.errors import (
 )
 
 from conftest import make_table, time_limit
+from oracles import per_row_replace_zeros
 
 positive_rows = st.lists(
     st.floats(min_value=1e-3, max_value=1e6), min_size=2, max_size=12
@@ -314,6 +315,38 @@ class TestReplaceZeros:
             return
         assert np.all(out > 0.0)
         assert out.sum() == pytest.approx(sum(row), rel=1e-9)
+
+
+@st.composite
+def tables_with_scattered_zeros(draw):
+    """An n x D table of positive cells with zeros in some rows, up to all of a row."""
+    n, D = draw(st.integers(1, 30)), draw(st.integers(2, 8))
+    cells = st.floats(min_value=1e-3, max_value=1e6)
+    values = np.array(draw(st.lists(cells, min_size=n * D, max_size=n * D))).reshape(n, D)
+    for r in draw(st.sets(st.integers(0, n - 1))):
+        values[r, sorted(draw(st.sets(st.integers(0, D - 1), min_size=1)))] = 0.0
+    return values
+
+
+def zero_outcome(replace, values, delta):
+    """The replaced values as bytes, or the error record."""
+    try:
+        return replace(values, delta).tobytes()
+    except CodaError as exc:
+        return exc.record()
+
+
+class TestReplaceZerosOracle:
+    @given(tables_with_scattered_zeros(), st.floats(min_value=0.01, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    @example(values=np.array([[1.0, 2.0, 3.0], [1.0, 0.0, 0.0], [4.0, 0.0, 5.0]]), delta=1.0)
+    @example(values=np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]), delta=0.5)
+    def test_equals_the_per_row_loop(self, values, delta):
+        def production(v, d):
+            return replace_zeros(v, strategy="multiplicative", delta=d)
+
+        expected = zero_outcome(per_row_replace_zeros, values, delta)
+        assert zero_outcome(production, values, delta) == expected
 
 
 class TestAitchisonDistance:

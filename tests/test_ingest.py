@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,25 +17,30 @@ import coda_atlas
 from coda_atlas import (
     IngestConfig,
     RatioDefinition,
-    UnitRegistry,
     clr_matrix,
     default_ratio_catalog,
+    fit_biplot,
+    make_link,
     parse_table,
+    rank_along_link,
     serialize_table,
     synthetic_table,
     table_config,
     write_reports,
 )
 from coda_atlas import _cells, composition, ingest
+from coda_atlas.cli import main
 from coda_atlas.ingest import clr_csv, write_outputs
 from coda_atlas.errors import (
     CodaError,
+    DegenerateVariance,
     DuplicateEntityId,
     EmptyInput,
     InvalidOptions,
     IoFailure,
     NonPositiveValue,
     ParseError,
+    UnknownPart,
     UnknownUnit,
 )
 
@@ -177,41 +185,80 @@ class TestColumnParse:
 
 
 class TestUnitRegistry:
+    """The config's unit table: built-in units plus the config's extras."""
+
     def test_canonical_units_resolve_to_identity(self):
-        reg = UnitRegistry.default()
+        config = IngestConfig()
         for unit in ("EUR_MM", "MWh", "m3", "t", "headcount", "unitless"):
-            assert reg.resolve(unit) == (unit, 1.0)
-            assert reg.is_canonical(unit)
+            assert config.resolve_unit(unit) == (unit, 1.0)
 
     def test_default_conversions(self):
-        reg = UnitRegistry.default()
-        assert reg.resolve("EUR") == ("EUR_MM", 1e-6)
-        assert reg.resolve("GWh") == ("MWh", 1e3)
-        assert reg.resolve("kWh") == ("MWh", 1e-3)
-        assert reg.resolve("L") == ("m3", 1e-3)
-        assert reg.resolve("kg") == ("t", 1e-3)
-        assert reg.resolve("kt") == ("t", 1e3)
+        config = IngestConfig()
+        assert config.resolve_unit("EUR") == ("EUR_MM", 1e-6)
+        assert config.resolve_unit("GWh") == ("MWh", 1e3)
+        assert config.resolve_unit("kWh") == ("MWh", 1e-3)
+        assert config.resolve_unit("L") == ("m3", 1e-3)
+        assert config.resolve_unit("kg") == ("t", 1e-3)
+        assert config.resolve_unit("kt") == ("t", 1e3)
 
     def test_unknown_unit_raises(self):
-        with pytest.raises(UnknownUnit):
-            UnitRegistry.default().resolve("furlongs")
+        with pytest.raises(UnknownUnit) as err:
+            IngestConfig().resolve_unit("furlongs")
+        assert err.value.record() == "UnknownUnit:unit 'furlongs' is not registered"
 
     def test_registering_new_units(self):
-        reg = UnitRegistry.default()
-        reg.add_canonical("hours")
-        reg.add_conversion("days", "hours", 24.0)
-        assert reg.resolve("days") == ("hours", 24.0)
+        config = IngestConfig(
+            extra_canonical_units=("hours",), extra_conversions={"days": ("hours", 24.0)}
+        )
+        assert config.resolve_unit("hours") == ("hours", 1.0)
+        assert config.resolve_unit("days") == ("hours", 24.0)
 
     def test_conversion_target_must_be_canonical(self):
-        reg = UnitRegistry.default()
-        with pytest.raises(UnknownUnit):
-            reg.add_conversion("days", "hours", 24.0)
+        for target in ("hours", "GWh"):
+            with pytest.raises(UnknownUnit) as err:
+                IngestConfig(extra_conversions={"days": (target, 24.0)})
+            assert err.value.record() == f"UnknownUnit:target unit {target!r} is not canonical"
 
     def test_conversion_factor_must_be_positive(self):
-        reg = UnitRegistry.default()
         for factor in (0.0, -2.0, float("nan"), float("inf")):
-            with pytest.raises(InvalidOptions):
-                reg.add_conversion("days", "MWh", factor)
+            with pytest.raises(InvalidOptions) as err:
+                IngestConfig(extra_conversions={"days": ("MWh", factor)})
+            assert err.value.record() == (
+                f"InvalidOptions:conversion factor must be positive, got {factor}"
+            )
+
+    def test_canonical_unit_name_must_be_non_empty(self):
+        with pytest.raises(InvalidOptions) as err:
+            IngestConfig(extra_canonical_units=("",))
+        assert err.value.record() == "InvalidOptions:canonical unit name must be non-empty"
+
+    @pytest.mark.parametrize(
+        "extras, unit",
+        [
+            ({"extra_conversions": {"MWh": ("t", 2.0)}}, "MWh"),
+            ({"extra_canonical_units": ("GWh",)}, "GWh"),
+            ({"extra_conversions": {"GWh": ("MWh", 1.0)}}, "GWh"),
+            ({"extra_canonical_units": ("J",), "extra_conversions": {"J": ("MWh", 1.0)}}, "J"),
+            ({"extra_canonical_units": ("J", "J")}, "J"),
+        ],
+        ids=[
+            "conversion-of-a-canonical-unit", "canonical-conversion-unit",
+            "conversion-of-a-conversion-unit", "extra-unit-converted", "extra-unit-twice",
+        ],
+    )
+    def test_a_unit_defined_twice_is_one_error(self, extras, unit):
+        with pytest.raises(InvalidOptions) as err:
+            IngestConfig(**extras)
+        assert err.value.record() == f"InvalidOptions:unit {unit!r} is defined twice"
+
+    def test_unit_table_is_built_once_per_config(self, monkeypatch):
+        calls = []
+        build = ingest._unit_table
+        monkeypatch.setattr(ingest, "_unit_table", lambda *a: calls.append(a) or build(*a))
+        config = IngestConfig(unit_map={"energy_consumption": "GWh"})
+        for _ in range(2):
+            parse_table(csv_doc("e1,One,1011,1.0,15"), config)
+        assert len(calls) == 1
 
 
 class TestRatioCatalog:
@@ -255,7 +302,7 @@ class TestIngestConfig:
             extra_canonical_units=("J",),
             extra_conversions={"BTU": ("J", 1055.06)},
         )
-        assert config.registry().resolve("BTU") == ("J", 1055.06)
+        assert config.resolve_unit("BTU") == ("J", 1055.06)
 
     def test_json_round_trip(self):
         config = IngestConfig(
@@ -397,6 +444,15 @@ class TestParseTable:
         assert table.values[:, 1].tolist() == [2.5 * factor, 0.125 * factor]
         assert table.values[:, 0].tolist() == [7.0, 3.0]
 
+    @pytest.mark.parametrize("parse", [parse_table, per_cell_parse_table])
+    def test_unit_map_key_must_name_a_column(self, parse):
+        config = IngestConfig(unit_map={"energy_consumptoin": "GWh", "net_revenue": "EUR"})
+        with pytest.raises(UnknownPart) as err:
+            parse(csv_doc("e1,One,1011,1.0,15"), config)
+        assert err.value.record() == (
+            "UnknownPart:unit_map column 'energy_consumptoin' is not in the table"
+        )
+
     def test_declared_unit_scaling_is_exact_thousandfold(self):
         base = csv_doc("e1,One,1011,3.5,15", "e2,Two,1022,2.0,40")
         in_mwh = parse_table(
@@ -406,6 +462,97 @@ class TestParseTable:
         assert np.max(np.abs(in_mwh.values - in_gwh.values)) < 1e-9 * np.max(
             in_mwh.values
         )
+
+
+DEFAULT_PARTS = list(ingest.DEFAULT_PART_SCHEMA)
+
+#: a declared unit's factor moves a parsed value by at most this relative error
+UNIT_RTOL = 1e-15
+
+
+@st.composite
+def default_layout_rows(draw):
+    """3..12 rows of values for the default eight-part layout."""
+    n = draw(st.integers(3, 12))
+    cells = st.floats(1e-3, 1e6)
+    return [[draw(cells) for _ in DEFAULT_PARTS] for _ in range(n)]
+
+
+def layout_csv(rows, column: int = 0, scale: float = 1.0) -> str:
+    """The rows as a default-layout CSV, column ``column`` multiplied by ``scale``."""
+    lines = [",".join(["id", "label", "sector_code", *DEFAULT_PARTS])]
+    for r, row in enumerate(rows):
+        cells = [repr(v * scale if d == column else v) for d, v in enumerate(row)]
+        lines.append(",".join([f"e{r:02d}", f"Entity {r}", "101X" if r % 3 else "102X", *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def pipeline_outcome(text: str, config: IngestConfig | None = None):
+    """Exit code, stderr and every written file of ``pipeline`` on the CSV text."""
+    with tempfile.TemporaryDirectory() as work:
+        table = Path(work, "table.csv")
+        table.write_text(text)
+        out_dir = Path(work, "reports")
+        argv = ["pipeline", str(table), "-o", str(out_dir)]
+        if config is not None:
+            Path(work, "config.json").write_text(config.to_json())
+            argv += ["--config", str(Path(work, "config.json"))]
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            code = main(argv)
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.glob("*"))}
+    return code, stderr.getvalue(), files
+
+
+class TestDeclaredUnits:
+    @given(default_layout_rows(), st.integers(0, 7), st.integers(-20, 20).filter(bool))
+    @settings(max_examples=25, deadline=None)
+    def test_power_of_two_unit_gives_the_plain_pipeline_bytes(self, rows, column, k):
+        # x * 2**k is exact in the CSV text, and so is its factor 2**-k back
+        name = DEFAULT_PARTS[column]
+        canonical = ingest.DEFAULT_PART_SCHEMA[name][0]
+        config = IngestConfig(
+            unit_map={name: "scaled"}, extra_conversions={"scaled": (canonical, 2.0**-k)}
+        )
+        plain = pipeline_outcome(layout_csv(rows))
+        assert pipeline_outcome(layout_csv(rows, column, 2.0**k), config) == plain
+
+    @given(
+        default_layout_rows(),
+        st.sampled_from(
+            [("energy_consumption", "GWh", 1e3), ("energy_consumption", "kWh", 1e-3),
+             ("water_consumption", "L", 1e-3)]
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_declared_unit_changes_values_and_orders_only_by_rounding(self, rows, declared):
+        name, unit, factor = declared
+        config = IngestConfig(unit_map={name: unit})
+        plain = parse_table(layout_csv(rows))
+        converted = parse_table(layout_csv(rows, DEFAULT_PARTS.index(name), 1.0 / factor), config)
+        assert (converted.parts, converted.entities) == (plain.parts, plain.entities)
+        assert np.all(np.abs(converted.values - plain.values) <= UNIT_RTOL * plain.values)
+        # at full compositional rank the scores are the centred log-ratios,
+        # whichever basis the SVD picks for a degenerate spectrum
+        models = []
+        for table in (plain, converted):
+            clr = clr_matrix(table)
+            try:
+                models.append(fit_biplot(clr, k=min(clr.n - 1, clr.D - 1)))
+            except DegenerateVariance:
+                models.append(None)
+        if models[0] is None:
+            assert models[1] is None
+            return
+        for definition in default_ratio_catalog():
+            links = [make_link(model, *definition.resolve(plain)) for model in models]
+            if any(link.degenerate for link in links):
+                continue
+            base, scores = (rank_along_link(*pair).scores for pair in zip(models, links))
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(base))))
+            apart = base[:, None] - base[None, :] > tol
+            assert np.max(np.abs(scores - base)) <= tol
+            assert np.all((scores[:, None] > scores[None, :])[apart])
 
 
 class TestRoundTrip:
