@@ -14,29 +14,33 @@ runs in sorted-id order, so no file depends on the input row order: a
 validated table's rows are already in that order, and hierarchical_cluster
 sorts the ids of a DistanceMatrix, which may list them in any order.
 
-Cost: distances are computed 8 rows at a time through one reused
-8 x n x D float64 buffer (8 n D * 8 bytes). The merge is the generic
-nearest-neighbour algorithm of Muellner (arXiv:1109.2378) on the
-Lance-Williams updates: it updates one n x n float64 working matrix
+Cost: distances are computed 8 rows at a time, upper triangle only,
+through one reused 8 x n x D float64 buffer (8 n D * 8 bytes). The merge
+is the generic nearest-neighbour algorithm of Muellner (arXiv:1109.2378)
+on the Lance-Williams updates: it updates one n x n float64 working matrix
 (8 n^2 bytes) in place and keeps each row's nearest neighbour, so a step
 does O(n) vectorised work plus a rescan of the rows whose neighbour took
-part in the merge. That is about O(n^2) time in practice and O(n^3) at
-worst; on a 2-vCPU x86 VM the merge takes about 0.03 s at n=400 and 0.7 s
-at n=3000. The CLI computes the distances straight into that working
-matrix, so it holds one n x n matrix; hierarchical_cluster(dist) callers
-hold two, their DistanceMatrix and the merge's sorted-id copy. At 5000x32
-(a 191 MiB matrix) `coda-atlas cluster` peaks at 259 MiB RSS and takes
-6.5 s on that VM.
+part in the merge: about O(n^2) time in practice, O(n^3) at worst.
+Profiles and their JSON take one array pass per distinct cluster size.
+On a 2-vCPU x86 VM at 400x32 with 399 clusters, distances take ~9 ms, the
+merge ~24 ms, cluster_profile ~4 ms and the cluster_profiles.json text
+~14 ms (15, 25, 33 and 29 ms with the full matrix and per-cluster passes).
+The CLI computes the distances straight into that working matrix, so it
+holds one n x n matrix; hierarchical_cluster(dist) callers hold two, their
+DistanceMatrix and the merge's sorted-id copy. At 5000x32 (a 191 MiB
+matrix) a fresh `coda-atlas cluster` peaks at 248 MiB RSS in 3.2 s on
+that VM (250 MiB in 4.4 s with the full matrix and per-cluster passes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
-from ._fmt import csv_fields, fill_rows
+from ._fmt import RawJson, check_finite, csv_fields, fill_rows
 from .composition import (
     ClrMatrix,
     IndicatorTable,
@@ -147,21 +151,22 @@ class ClusterProfile:
 
 
 def _block_distances(c: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of c, with a zero diagonal.
+    """Euclidean distances d[i, j], j >= i, between the rows of c; zero diagonal.
 
-    Rows are done _DISTANCE_BLOCK_ROWS at a time through one preallocated
-    difference buffer. (a - b)**2 equals (b - a)**2 bit for bit, so the
-    result is exactly symmetric.
+    Only the upper triangle is set. Rows are done _DISTANCE_BLOCK_ROWS at a
+    time against the columns from the block's first row on, through one
+    preallocated buffer; each pair is one np.sum over its D squared
+    differences, so every value equals the full n x n x D tensor's exactly.
     """
     n, D = c.shape
     d = np.empty((n, n), dtype=c.dtype)
     buffer = np.empty((min(_DISTANCE_BLOCK_ROWS, n), n, D), dtype=c.dtype)
     for start in range(0, n, _DISTANCE_BLOCK_ROWS):
         stop = min(start + _DISTANCE_BLOCK_ROWS, n)
-        diff = buffer[:stop - start]
-        np.subtract(c[start:stop, None, :], c[None, :, :], out=diff)
+        diff = buffer[:stop - start, :n - start]
+        np.subtract(c[start:stop, None, :], c[None, start:, :], out=diff)
         np.multiply(diff, diff, out=diff)
-        np.sqrt(np.sum(diff, axis=-1), out=d[start:stop])
+        np.sqrt(np.sum(diff, axis=-1), out=d[start:stop, start:])
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -170,7 +175,16 @@ def distance_matrix(clr: ClrMatrix) -> DistanceMatrix:
     """Pairwise Aitchison distances between all entities."""
     if clr.n < 2:
         raise TooFewRows(f"distance matrix needs n >= 2, got {clr.n}")
-    return DistanceMatrix(ids=clr.entity_ids, values=_block_distances(clr.values))
+    d = _block_distances(clr.values)
+    # mirror the upper triangle one _SYMMETRY_TILE square at a time
+    tiles = [slice(r, r + _SYMMETRY_TILE) for r in range(0, clr.n, _SYMMETRY_TILE)]
+    for i, rows in enumerate(tiles):
+        tile = d[rows, rows]
+        below = np.tri(len(tile), k=-1, dtype=bool)
+        tile[below] = tile.T[below]
+        for cols in tiles[i + 1:]:
+            d[cols, rows] = d[rows, cols].T
+    return DistanceMatrix(ids=clr.entity_ids, values=d)
 
 
 def _nearest_above(d: np.ndarray, active: np.ndarray, i: int) -> tuple[int, float]:
@@ -203,7 +217,9 @@ def _merge_sequence(ids: Sequence[str], d: np.ndarray, linkage: str):
     Row 0 is never retired, so when every live distance is inf the argmin
     still lands on a live row. After merging b into a, only row a (whose
     neighbour was b), the rows whose neighbour was a or b, and the entries
-    d[i, a] of the other rows i < a can move a neighbour.
+    d[i, a] of the other rows i < a, read from the merged row, can move a
+    neighbour: a retired row reads inf there against its (-1, inf), and a
+    row whose neighbour was a or b is rescanned whatever the update gave it.
     """
     n = len(ids)
     active = np.ones(n, dtype=bool)
@@ -234,11 +250,10 @@ def _merge_sequence(ids: Sequence[str], d: np.ndarray, linkage: str):
 
         stale = (nn == a) | (nn == b)
         nn[b], nd[b] = -1, np.inf
-        rows = np.flatnonzero(active[:a] & ~stale[:a])
-        col = d[rows, a]
-        closer = (col < nd[rows]) | ((col == nd[rows]) & (a < nn[rows]))
-        nn[rows[closer]] = a
-        nd[rows[closer]] = col[closer]
+        col = merged[:a]
+        closer = (col < nd[:a]) | ((col == nd[:a]) & (a < nn[:a]))
+        nn[:a][closer] = a
+        nd[:a][closer] = col[closer]
         for i in np.flatnonzero(stale):
             nn[i], nd[i] = _nearest_above(d, active, int(i))
     return history
@@ -334,9 +349,10 @@ def _cluster_clr(
 ) -> ClusterAssignment:
     """hierarchical_cluster(distance_matrix(clr), ...) with one n x n matrix.
 
-    The distances are computed straight into the merge's working matrix;
-    the result and the errors are the public path's for the CLR of a
-    validated table, whose ids are unique and already in sorted order.
+    The upper triangle, all that the merge reads, is computed straight
+    into its working matrix; the result and the errors are the public
+    path's for the CLR of a validated table, whose ids are unique and
+    already in sorted order.
     """
     if clr.n < 2:
         raise TooFewRows(f"distance matrix needs n >= 2, got {clr.n}")
@@ -364,25 +380,29 @@ def cluster_profile(
     if ratios is None:
         ratios = resolvable_ratios(table, default_ratio_catalog())
 
-    resolved = [(definition.name, *definition.resolve(table)) for definition in ratios]
+    members = assignment.members()
     row_of = {eid: r for r, eid in enumerate(table.entity_ids)}
-    profiles = []
-    for label, member_ids in assignment.members().items():
-        rows = [row_of[eid] for eid in member_ids]
-        mean = z[rows].mean(axis=0)
-        ratio_means = {
-            name: float(np.mean(z[rows, i] - z[rows, j])) for name, i, j in resolved
-        }
-        profiles.append(
-            ClusterProfile(
-                label=label,
-                member_ids=member_ids,
-                mean_clr=mean,
-                origin_distance=float(np.linalg.norm(mean)),
-                ratio_means=ratio_means,
-            )
-        )
-    return profiles
+    sizes = np.array([len(ids) for ids in members.values()])
+    rows = np.array([row_of[eid] for ids in members.values() for eid in ids])
+    starts = np.cumsum(sizes) - sizes
+    names = [ratio.name for ratio in ratios]
+    pairs = np.array([ratio.resolve(table) for ratio in ratios], dtype=np.intp).reshape(-1, 2)
+    log_ratios = np.ascontiguousarray((z[:, pairs[:, 0]] - z[:, pairs[:, 1]]).T)
+    means = np.empty((len(sizes), z.shape[1]))
+    ratio_means = np.empty((len(sizes), len(names)))
+    # one gather per cluster size m, bit-identical to per-cluster means: a
+    # k x m x D gather summed over axis 1 adds the member rows in order, as
+    # z[rows].mean(axis=0) does; a contiguous L x k x m gather summed over its
+    # last axis is numpy's pairwise sum of each m values, as np.mean's is
+    for m in set(sizes.tolist()):
+        which = np.flatnonzero(sizes == m)
+        group = rows[starts[which, None] + np.arange(m)]
+        means[which] = z[group].sum(axis=1) / m
+        ratio_means[which] = (np.take(log_ratios, group, axis=1).sum(axis=-1) / m).T
+    return [
+        ClusterProfile(label, ids, mean, float(np.linalg.norm(mean)), dict(zip(names, values)))
+        for (label, ids), mean, values in zip(members.items(), means, ratio_means.tolist())
+    ]
 
 
 def assignment_csv(assignment: ClusterAssignment) -> str:
@@ -405,19 +425,39 @@ def merge_history_json(assignment: ClusterAssignment) -> dict:
     }
 
 
+def _float_dict_template(names: Sequence[str], pad: str) -> str:
+    """%.17g fields keyed by names, laid out as dumps_json lays out a dict at pad."""
+    keys = [encode_basestring_ascii(str(name)).replace("%", "%%") for name in names]
+    fields = (",\n" + pad + "  ").join(key + ": %.17g" for key in keys)
+    return "{\n" + pad + "  " + fields + "\n" + pad + "}" if keys else "{}"
+
+
 def profiles_json(profiles: Sequence[ClusterProfile], part_names: Sequence[str]) -> dict:
-    """JSON-ready document for cluster profiles."""
-    return {
-        "clusters": [
-            {
-                "label": p.label,
-                "members": list(p.member_ids),
-                "mean_clr": {
-                    name: float(v) for name, v in zip(part_names, p.mean_clr)
-                },
-                "origin_distance": p.origin_distance,
-                "ratio_means": p.ratio_means,
-            }
-            for p in profiles
-        ]
-    }
+    """JSON-ready document for cluster profiles.
+
+    Its "clusters" value is preformatted for dumps_json: one RawJson block,
+    filled by one fill_rows pass, laid out as dumps_json lays out the list
+    of per-cluster dicts (label, members, mean_clr by part, origin_distance,
+    ratio_means). A non-finite value raises dumps_json's error for the
+    first one in document order. Profiles must share their ratio names.
+    """
+    if not profiles:
+        return {"clusters": []}
+    ratio_names = list(profiles[0].ratio_means)
+    if any(list(p.ratio_means) != ratio_names for p in profiles):
+        raise InvalidOptions("cluster profiles must share their ratio names")
+    means = np.array([p.mean_clr for p in profiles], dtype=float)
+    parts = list(part_names)[:means.shape[1]]
+    ratios = np.array([list(p.ratio_means.values()) for p in profiles], dtype=float)
+    origins = [p.origin_distance for p in profiles]
+    values = np.column_stack((means[:, :len(parts)], origins, ratios))
+    check_finite(values)
+    row = (
+        '    {\n      "label": %d,\n      "members": [\n        %s\n      ],\n'
+        '      "mean_clr": ' + _float_dict_template(parts, "      ") + ",\n"
+        '      "origin_distance": %.17g,\n'
+        '      "ratio_means": ' + _float_dict_template(ratio_names, "      ") + "\n    },\n"
+    )
+    members = [",\n        ".join(map(encode_basestring_ascii, p.member_ids)) for p in profiles]
+    body = fill_rows(row, [p.label for p in profiles], members, values)
+    return {"clusters": RawJson("[\n" + body[:-2] + "\n  ]")}

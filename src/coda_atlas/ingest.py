@@ -110,6 +110,8 @@ def _unit_table(extra_canonical_units, extra_conversions) -> dict[str, tuple[str
     dup = duplicated([*_CANONICAL_UNITS, *_CONVERSIONS, *extra_canonical_units, *extra_conversions])
     if dup:
         raise InvalidOptions(f"unit {dup[0]!r} is defined twice")
+    if "" in extra_conversions:
+        raise InvalidOptions("converted unit name must be non-empty")
     extras = {unit: (target, float(f)) for unit, (target, f) in extra_conversions.items()}
     return {unit: (unit, 1.0) for unit in canonical} | _CONVERSIONS | extras
 
@@ -172,9 +174,9 @@ class IngestConfig:
 
     The known units are one table, built when the config is created: each
     unit is defined once, so a built-in unit named again among the extras,
-    or an extra named twice, is InvalidOptions. unit_map maps column names
-    to declared units, and every key must name a column of the parsed
-    table (UnknownPart otherwise).
+    or an extra named twice, is InvalidOptions, as is an extra with an
+    empty name. unit_map maps column names to declared units, and every
+    key must name a column of the parsed table (UnknownPart otherwise).
     """
 
     locale: str = "point_decimal"

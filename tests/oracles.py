@@ -17,6 +17,12 @@ These deliberately avoid the library calls they are checking:
   reproduce its history exactly, floats and tie-breaks included.
 * ``full_tensor_distances`` forms the whole n x n x D difference tensor
   that the row-blocked ``distance_matrix`` avoids.
+* ``per_cluster_profile`` is ``cluster_profile`` as it was before it
+  grouped clusters by size: one Python pass, and one mean, per cluster.
+  The production function must give the same profiles, floats bit for bit.
+* ``per_cluster_profiles_json`` is ``profiles_json`` as it was before its
+  "clusters" list became one preformatted block: the plain dict document,
+  whose ``per_cell_dumps_json`` bytes the production document must give.
 * ``pairwise_kendall_tau_b`` counts concordant, discordant and tied pairs
   one pair at a time, the O(n^2) definition behind the merge-count tau-b.
 * ``per_cell_parse_table`` is the table parser as it was before the
@@ -49,7 +55,16 @@ import numpy as np
 
 from coda_atlas._fmt import fmt_float
 from coda_atlas.biplot import make_link
-from coda_atlas.composition import Entity, Part, replace_zeros, validate_table
+from coda_atlas.cluster import ClusterProfile
+from coda_atlas.composition import (
+    Entity,
+    Part,
+    clr_matrix,
+    default_ratio_catalog,
+    replace_zeros,
+    resolvable_ratios,
+    validate_table,
+)
 from coda_atlas.errors import (
     DegenerateLink,
     DegenerateRow,
@@ -213,6 +228,54 @@ def full_tensor_distances(c) -> np.ndarray:
     d = np.sqrt(np.sum(diff * diff, axis=-1))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def per_cluster_profile(table, assignment, ratios=None) -> list:
+    """cluster_profile with one Python pass per cluster."""
+    if set(assignment.labels) != set(table.entity_ids):
+        raise MismatchedEntities("assignment does not cover exactly the table entities")
+    c = clr_matrix(table).values
+    z = c - c.mean(axis=0)
+    if ratios is None:
+        ratios = resolvable_ratios(table, default_ratio_catalog())
+
+    resolved = [(definition.name, *definition.resolve(table)) for definition in ratios]
+    row_of = {eid: r for r, eid in enumerate(table.entity_ids)}
+    profiles = []
+    for label, member_ids in assignment.members().items():
+        rows = [row_of[eid] for eid in member_ids]
+        mean = z[rows].mean(axis=0)
+        ratio_means = {
+            name: float(np.mean(z[rows, i] - z[rows, j])) for name, i, j in resolved
+        }
+        profiles.append(
+            ClusterProfile(
+                label=label,
+                member_ids=member_ids,
+                mean_clr=mean,
+                origin_distance=float(np.linalg.norm(mean)),
+                ratio_means=ratio_means,
+            )
+        )
+    return profiles
+
+
+def per_cluster_profiles_json(profiles, part_names) -> dict:
+    """The cluster profiles document as a plain dict, one entry per cluster."""
+    return {
+        "clusters": [
+            {
+                "label": p.label,
+                "members": list(p.member_ids),
+                "mean_clr": {
+                    name: float(v) for name, v in zip(part_names, p.mean_clr)
+                },
+                "origin_distance": p.origin_distance,
+                "ratio_means": p.ratio_means,
+            }
+            for p in profiles
+        ]
+    }
 
 
 def pairwise_kendall_tau_b(x, y) -> float:

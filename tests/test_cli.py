@@ -448,12 +448,14 @@ class TestConfigDocuments:
             '{"name": "s", "numerator": "total_assets", "denominator": "net_revenue"},'
             '{"name": "s", "numerator": "net_revenue", "denominator": "total_assets"}]}',
             '{"extra_conversions": {"MWh": ["t", 2.0]}}',
+            '{"extra_conversions": {"": ["MWh", 2.0]}, "unit_map": {"energy_consumption": ""}}',
         ],
         ids=[
             "ratio-without-parts", "ratio-unknown-key", "catalog-not-a-list",
             "ratio-name-not-a-string", "unit-map-not-an-object", "unit-not-a-string",
             "delta-not-a-number", "units-not-a-list", "factor-not-a-number",
             "conversion-not-a-pair", "duplicate-ratio-names", "unit-defined-twice",
+            "empty-converted-unit",
         ],
     )
     def test_malformed_config_is_one_error_record(self, document, table_csv, tmp_path, capsys):

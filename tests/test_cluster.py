@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import json
 import math
 import tempfile
 import tracemalloc
@@ -27,6 +28,8 @@ from coda_atlas.cli import main
 from coda_atlas.cluster import (
     _DISTANCE_BLOCK_ROWS,
     LINKAGES,
+    ClusterAssignment,
+    _block_distances,
     assignment_csv,
     merge_history_json,
     profiles_json,
@@ -42,7 +45,13 @@ from coda_atlas.errors import (
 )
 
 from conftest import make_table, random_table
-from oracles import full_tensor_distances, lance_williams_merges
+from oracles import (
+    full_tensor_distances,
+    lance_williams_merges,
+    per_cell_dumps_json,
+    per_cluster_profile,
+    per_cluster_profiles_json,
+)
 
 #: two tight triples far apart in Aitchison geometry (inter/intra >= 10)
 TWO_TRIPLE_ROWS = [
@@ -148,6 +157,14 @@ def brute_force_merges(dist: DistanceMatrix, linkage: str):
     return history
 
 
+#: cluster sizes in each of numpy's summation regimes: one value, the
+#: sequential sum (2..7), the unrolled pairwise sum (8..128) and the
+#: recursive pairwise sum (above 128)
+CLUSTER_SIZES = st.one_of(
+    st.just(1), st.integers(2, 7), st.integers(8, 128), st.integers(129, 300)
+)
+
+
 class TestDistanceMatrix:
     def test_duplicate_rows_have_exact_zero_distance(self):
         table = make_table([[2.0, 3.0, 4.0], [2.0, 3.0, 4.0], [9.0, 1.0, 1.0]])
@@ -191,6 +208,21 @@ class TestDistanceMatrix:
             clr = clr_matrix(random_table(rng, n, D))
             got = distance_matrix(clr).values
             assert np.array_equal(got, full_tensor_distances(clr.values))
+
+    # D in numpy's sequential (< 8), unrolled (8..128) and recursive (> 128)
+    # summation regimes; n below, at and past one row block, and 8k + 3
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16 * _DISTANCE_BLOCK_ROWS + 3])
+    def test_upper_triangle_equals_full_tensor(self, rng, n):
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        for D in (2, 7, 8, 9, 32, 128, 129, 130):
+            c = clr_matrix(random_table(rng, n, D)).values
+            assert np.array_equal(_block_distances(c)[upper], full_tensor_distances(c)[upper])
+
+    # one symmetry tile, exactly one, and several with a partial last one
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+    def test_mirrored_matrix_equals_its_transpose(self, rng, n):
+        d = distance_matrix(clr_matrix(random_table(rng, n, 5))).values
+        assert np.array_equal(d, d.T)
 
     def test_needs_two_rows(self):
         with pytest.raises(TooFewRows):
@@ -530,6 +562,44 @@ class TestClusterProfile:
         with pytest.raises(MismatchedEntities):
             cluster_profile(table, assignment)
 
+    @given(
+        st.lists(CLUSTER_SIZES, min_size=1, max_size=6), st.integers(2, 12),
+        st.sampled_from(["empty", "catalog", "drawn"]), st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_cluster_loop(self, sizes, D, ratio_mode, ties, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        values = np.exp(rng.normal(size=(n, D)))
+        if ties:
+            values[rng.random(n) < 0.5] = values[0]
+        names = list(DEFAULT_PART_SCHEMA)[:D] + [f"u{k}" for k in range(1, D - 7)]
+        ids = [f"k{r:04d}" for r in rng.permutation(n)]
+        table = make_table(values, ids=ids, part_names=names)
+        cuts = np.cumsum(sizes)[:-1]
+        clusters = sorted(sorted(g) for g in np.split(rng.permutation(ids), cuts))
+        labels = {eid: label for label, g in enumerate(clusters, start=1) for eid in g}
+        assignment = ClusterAssignment(labels, "complete", {}, ())
+        ratios = {
+            "empty": [],
+            "catalog": None,
+            "drawn": [
+                RatioDefinition(f"r{k}", *rng.choice(names, size=2, replace=False))
+                for k in range(int(rng.integers(1, 5)))
+            ],
+        }[ratio_mode]
+        got = cluster_profile(table, assignment, ratios)
+        expected = per_cluster_profile(table, assignment, ratios)
+        assert len(got) == len(expected) == len(sizes)
+        for g, e in zip(got, expected):
+            assert (g.label, g.member_ids) == (e.label, e.member_ids)
+            assert np.array_equal(g.mean_clr, e.mean_clr)
+            assert g.origin_distance == e.origin_distance
+            assert g.ratio_means == e.ratio_means
+        doc = per_cluster_profiles_json(expected, names)
+        assert dumps_json(profiles_json(got, names)) == per_cell_dumps_json(doc)
+
 
 class TestReportRenderers:
     def test_assignment_csv_sorted_by_id(self):
@@ -556,7 +626,7 @@ class TestReportRenderers:
         profiles = cluster_profile(
             table, assignment, ratios=[RatioDefinition("r", "part_0", "part_2")]
         )
-        doc = profiles_json(profiles, table.part_names)
+        doc = json.loads(dumps_json(profiles_json(profiles, table.part_names)))
         assert [c["label"] for c in doc["clusters"]] == [1, 2]
         assert set(doc["clusters"][0]["mean_clr"]) == set(table.part_names)
         assert "r" in doc["clusters"][0]["ratio_means"]

@@ -35,6 +35,7 @@ from coda_atlas._fmt import check_finite, csv_fields, csv_line, dumps_json, fill
 from coda_atlas.biplot import RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import ClusterAssignment, assignment_csv, profiles_json
 from coda_atlas.composition import ClrMatrix
+from coda_atlas.errors import InvalidOptions
 from coda_atlas.ingest import DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog, serialize_table
 from coda_atlas.render import _project
 from coda_atlas.stats import DescriptiveSummary, describe_csv
@@ -48,6 +49,7 @@ from oracles import (
     per_cell_dumps_json,
     per_cell_ranking_csv,
     per_cell_serialize_table,
+    per_cluster_profiles_json,
     per_element_svg,
 )
 
@@ -306,9 +308,10 @@ class TestDumpsJson:
         table = make_table(np.exp(rng.normal(size=(60, 8))), part_names=list(DEFAULT_PART_SCHEMA))
         dist = distance_matrix(clr_matrix(table))
         assignment = hierarchical_cluster(dist, n_clusters=59)
-        doc = profiles_json(cluster_profile(table, assignment), table.part_names)
+        profiles = cluster_profile(table, assignment)
+        doc = per_cluster_profiles_json(profiles, table.part_names)
         assert len(doc["clusters"][0]["ratio_means"]) == 5
-        assert dumps_json(doc) == per_cell_dumps_json(doc)
+        assert dumps_json(profiles_json(profiles, table.part_names)) == per_cell_dumps_json(doc)
 
     def test_model_document_matches_per_cell(self, rng):
         for n, k in ((300, 3), (1500, 1), (1025, 2)):
@@ -345,6 +348,69 @@ class TestDumpsJson:
             "rays": [{"part": name, "coords": [float(x) for x in model.rays[d]]}
                      for d, name in enumerate(model.part_names)],
         }
+
+
+class TestClusterProfilesDocument:
+    """The one-template "clusters" block against the plain dict document."""
+
+    @staticmethod
+    def profiles(n_clusters, ratios=None, ids=None, part_names=None):
+        rng = np.random.default_rng(11)
+        part_names = part_names or list(DEFAULT_PART_SCHEMA)
+        values = np.exp(rng.normal(size=(9, len(part_names))))
+        table = make_table(values, ids=ids, part_names=part_names)
+        dist = distance_matrix(clr_matrix(table))
+        assignment = hierarchical_cluster(dist, n_clusters=n_clusters)
+        return cluster_profile(table, assignment, ratios), table.part_names
+
+    def test_template_characters_in_ids_and_names(self):
+        ids = ["a%s", 'b"q', "c\\d", "d%%", "e%(x)s", "f\u00e9\u65e5", "g", "h%d", "i\n"]
+        names = ["p%d", 'q"r', "s\\t", "\u00fc%", "v%%w", "x%(y)s"]
+        ratios = [RatioDefinition("100%", names[0], names[1]),
+                  RatioDefinition('a"b\\%s', names[2], names[3])]
+        for n_clusters in (1, 4, 9):
+            profiles, parts = self.profiles(n_clusters, ratios, ids, names)
+            doc = per_cluster_profiles_json(profiles, parts)
+            assert dumps_json(profiles_json(profiles, parts)) == per_cell_dumps_json(doc)
+
+    def test_empty_ratio_list_writes_an_empty_object(self):
+        profiles, parts = self.profiles(3, ratios=[])
+        text = dumps_json(profiles_json(profiles, parts))
+        assert text.count('"ratio_means": {}') == 3
+        assert text == per_cell_dumps_json(per_cluster_profiles_json(profiles, parts))
+
+    def test_profiles_must_share_their_ratio_names(self):
+        profiles, parts = self.profiles(2)
+        renamed = dataclasses.replace(profiles[1], ratio_means={"other": 0.5})
+        with pytest.raises(InvalidOptions, match="share their ratio names"):
+            profiles_json([profiles[0], renamed], parts)
+
+    # an inf always sits in the last cell; the nan goes before it, or on it
+    @pytest.mark.parametrize(
+        "cluster, key",
+        [(0, 0), (1, 7), (0, None), (2, None), (0, "solvency"), (2, "gender_employment_gap")],
+        ids=["first-mean", "mid-mean", "first-origin", "last-origin", "first-ratio",
+             "last-ratio"],
+    )
+    def test_non_finite_value_gives_the_per_cell_error(self, cluster, key):
+        profiles, parts = self.profiles(3)
+
+        def with_value(p, key, value):
+            if key is None:
+                return dataclasses.replace(p, origin_distance=value)
+            if isinstance(key, int):
+                mean = p.mean_clr.copy()
+                mean[key] = value
+                return dataclasses.replace(p, mean_clr=mean)
+            return dataclasses.replace(p, ratio_means={**p.ratio_means, key: value})
+
+        profiles[-1] = with_value(profiles[-1], "gender_employment_gap", np.inf)
+        profiles[cluster] = with_value(profiles[cluster], key, np.nan)
+        with pytest.raises(ValueError) as expected:
+            per_cell_dumps_json(per_cluster_profiles_json(profiles, parts))
+        with pytest.raises(ValueError) as got:
+            dumps_json(profiles_json(profiles, parts))
+        assert str(got.value) == str(expected.value)
 
 
 def _render_case(seed: int, n: int):

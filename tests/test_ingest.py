@@ -232,6 +232,14 @@ class TestUnitRegistry:
             IngestConfig(extra_canonical_units=("",))
         assert err.value.record() == "InvalidOptions:canonical unit name must be non-empty"
 
+    def test_converted_unit_name_must_be_non_empty(self):
+        # a blank declared unit would otherwise convert its column silently
+        with pytest.raises(InvalidOptions) as err:
+            IngestConfig(
+                extra_conversions={"": ("MWh", 2.0)}, unit_map={"energy_consumption": ""}
+            )
+        assert err.value.record() == "InvalidOptions:converted unit name must be non-empty"
+
     @pytest.mark.parametrize(
         "extras, unit",
         [
