@@ -1,10 +1,18 @@
 """CSV cells to entity texts and numbers, under a locale's strict grammar.
 
-:func:`parse_columns` checks and converts a whole part column at a time
-and returns None whenever it cannot vouch for the result; :func:`parse_rows`
-then decides, one row and one cell at a time, and raises the first
-ParseError in row order with its line, column and token. Where both return,
-they give the same texts and bit-identical values.
+Three paths, tried in order; each earlier one returns None whenever it
+cannot vouch for its result, and where two return they give the same texts
+and bit-identical values:
+
+* :func:`read_block` takes point-decimal ASCII text in which csv quoting
+  cannot matter (no double quote, carriage return, NUL or blank line,
+  every line as wide as the header, every id non-empty, every value
+  finite) and converts the whole numeric block in one C pass;
+* :func:`parse_columns` checks and converts the cells of :func:`read_cells`
+  a whole part column at a time: quoted cells and the EU locale, whose
+  decimal commas are always quoted, come here;
+* :func:`parse_rows` decides one row and one cell at a time, and raises
+  the first ParseError in row order with its line, column and token.
 """
 
 from __future__ import annotations
@@ -59,6 +67,51 @@ def parse_number(text: str, locale: str, line: int, column: int) -> float:
         line=line, column=column, token=text,
         reason=f"not a number in the {locale} locale",
     )
+
+
+def read_block(data: str, locale: str):
+    """(header cells, (ids, labels, sector codes, values)), or None.
+
+    None unless the locale is point-decimal and the text is ASCII with no
+    double quote, carriage return, NUL or blank line, every line has the
+    header's comma count, every id is non-empty and every value is finite.
+    csv's reader would then split each line at its commas, and
+    ``np.loadtxt`` converts with ``PyOS_string_to_double``, the conversion
+    float() uses. What it declines (``_`` digit separators, an empty cell,
+    a ragged row) the cell paths decide, with their error records.
+    """
+    if locale != "point_decimal" or not data.isascii():
+        return None
+    if '"' in data or "\r" in data or "\0" in data:
+        return None
+    lines = data.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    width = len(header)
+    # a blank line has no comma, a ragged row another count
+    if width < 4 or [line.count(",") for line in lines].count(width - 1) != len(lines):
+        return None
+    # a longer field is csv's error, which the cell paths report
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = lines[1:]
+    try:
+        values = np.loadtxt(
+            rows, delimiter=",", usecols=range(3, width),
+            comments=None, quotechar=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    fields = [row.split(",", 3) for row in rows]
+    ids, labels, sectors = ([f[k].strip() for f in fields] for k in range(3))
+    if not all(ids):
+        return None
+    return [cell.strip() for cell in header], (ids, labels, sectors, values)
 
 
 def read_cells(data: str) -> tuple[list[str], list[int]]:

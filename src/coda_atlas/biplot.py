@@ -27,6 +27,7 @@ pins this at 20000 x 32); with 200 parts or more the QR does as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -81,6 +82,13 @@ class BiplotModel:
     def D(self) -> int:
         return self.rays.shape[0]
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each row's position in ascending entity-id order, sorted once per model."""
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[sorted(range(self.n), key=self.entity_ids.__getitem__)] = np.arange(self.n)
+        return rank
+
 
 @dataclass(frozen=True)
 class Link:
@@ -97,22 +105,26 @@ class Link:
 class RankingResult:
     """Entities ordered by projection score along a link.
 
-    ``scores`` and ``exact_log_ratios`` are in table order; ``ordering``
-    holds entity ids sorted by descending score with ties broken by
-    ascending entity id. Equal compositions need not get equal scores: the
-    SVD can give two equal rows points that differ in the last bits, and
-    then the score decides. ``fidelity`` is the Pearson correlation between
-    scores and the exact centred log-ratios, ``rank_agreement`` their
-    Kendall tau-b.
+    ``scores`` and ``exact_log_ratios`` are in table order; ``rows`` holds
+    the table rows sorted by descending score with ties broken by ascending
+    entity id, and ``ordering`` their entity ids. Equal compositions need
+    not get equal scores: the SVD can give two equal rows points that
+    differ in the last bits, and then the score decides. ``fidelity`` is
+    the Pearson correlation between scores and the exact centred
+    log-ratios, ``rank_agreement`` their Kendall tau-b.
     """
 
     link: Link
-    ordering: tuple[str, ...]
+    rows: np.ndarray
     scores: np.ndarray
     exact_log_ratios: np.ndarray
     fidelity: float
     rank_agreement: float
     entity_ids: tuple[str, ...]
+
+    @property
+    def ordering(self) -> tuple[str, ...]:
+        return tuple(map(self.entity_ids.__getitem__, self.rows.tolist()))
 
 
 def center_columns(clr: ClrMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +216,11 @@ def fit_biplot(clr: ClrMatrix, alpha: float = 1.0, k: int = 2) -> BiplotModel:
     s2 = s_m**2
     explained = s2 / s2.sum()
     # A zero singular value leaves its U column undefined: its points are 0.
+    # One at rounding level (s[0] max(n, D) eps) is zero too: Z v / s would
+    # be the quotient of two rounding errors.
+    zero = s[0] * max(n, D) * np.finfo(float).eps
     with np.errstate(divide="ignore"):
-        scale = np.where(s_m[:k] > 0.0, s_m[:k] ** (alpha - 1.0), 0.0)
+        scale = np.where(s_m[:k] > zero, s_m[:k] ** (alpha - 1.0), 0.0)
     points = (centered @ vt[:k].T) * scale
     rays = vt[:k].T * s_m[:k] ** (1.0 - alpha)
 
@@ -315,11 +330,8 @@ def rank_along_link(model: BiplotModel, link: Link) -> RankingResult:
     scores = model.points @ link.direction
     exact = model.centered[:, link.part_i] - model.centered[:, link.part_j]
 
-    ids = model.entity_ids
-    id_rank = np.empty(model.n, dtype=np.intp)
-    id_rank[sorted(range(model.n), key=ids.__getitem__)] = np.arange(model.n)
     # descending score, ties by ascending entity id
-    ordering = tuple(ids[r] for r in np.lexsort((id_rank, -scores)).tolist())
+    rows = np.lexsort((model.id_rank, -scores))
 
     score_const, exact_const = _is_constant(scores), _is_constant(exact)
     if score_const or exact_const:
@@ -333,7 +345,7 @@ def rank_along_link(model: BiplotModel, link: Link) -> RankingResult:
 
     return RankingResult(
         link=link,
-        ordering=ordering,
+        rows=rows,
         scores=scores,
         exact_log_ratios=exact,
         fidelity=fidelity,
@@ -389,10 +401,10 @@ def ranking_csv(result: RankingResult) -> str:
 
     Rows follow the ranking order, so rank runs 1..n top-down.
     """
-    pos = {eid: r for r, eid in enumerate(result.entity_ids)}
-    rows = np.array([pos[eid] for eid in result.ordering], dtype=np.intp)
+    rows = result.rows
     values = np.column_stack((result.scores[rows], result.exact_log_ratios[rows]))
     check_finite(values)
+    ids = np.array(csv_fields(result.entity_ids), dtype=object)[rows]
     ranks = np.arange(1, len(rows) + 1)
-    body = fill_rows("%s,%.17g,%.17g,%d\n", csv_fields(result.ordering), values, ranks)
+    body = fill_rows("%s,%.17g,%.17g,%d\n", ids, values, ranks)
     return "entity_id,score,exact_log_ratio,rank\n" + body

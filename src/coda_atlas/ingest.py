@@ -7,15 +7,18 @@ decimal), converted to canonical units by the factors of the config's unit
 table, run through the configured zero strategy and finally validated into
 an IndicatorTable.
 
-Cells are parsed a column at a time: when every data row has the header's
-width and a non-empty id, each part column is checked against its locale's
-grammar as one joined text (point-decimal: ASCII with no ``_``, ``n``,
-``N`` or ``,``; EU: one pass of the EU number pattern, then the dot and
-comma rewrite) and converted by one ``np.array(column, dtype=float)``,
-which accepts exactly what ``float()`` accepts. If any of that fails, the
-table is parsed again row by row, cell by cell, which gives every
-ParseError its line, column and token and raises the first one in row
-order. Both parses live in ``_cells``.
+Point-decimal text in which csv quoting cannot matter (ASCII, no double
+quote, carriage return, NUL or blank line, every row as wide as the
+header) is converted in one ``np.loadtxt`` pass over the numeric block.
+Other text is split into cells by the csv module and parsed a column at a
+time: when every data row has the header's width and a non-empty id, each
+part column is checked against its locale's grammar as one joined text
+(point-decimal: ASCII with no ``_``, ``n``, ``N`` or ``,``; EU: one pass of
+the EU number pattern, then the dot and comma rewrite) and converted by one
+``np.array(column, dtype=float)``, which accepts exactly what ``float()``
+accepts. If any of that fails, the table is parsed again row by row, cell
+by cell, which gives every ParseError its line, column and token and
+raises the first one in row order. All three parses live in ``_cells``.
 
 All numeric output uses point decimals with 17 significant digits, which
 round-trips IEEE doubles exactly. Every report file is written by one
@@ -288,8 +291,12 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
                 line=1, column=1, token="", reason=f"not UTF-8: {exc.reason}"
             ) from exc
 
-    cells, widths = _cells.read_cells(data)
-    header = [cell.strip() for cell in cells[:widths[0]]]
+    block = _cells.read_block(data, config.locale)
+    if block is None:
+        cells, widths = _cells.read_cells(data)
+        header = [cell.strip() for cell in cells[:widths[0]]]
+    else:
+        header, parsed = block
     for position, expected in enumerate(("id", "label", "sector_code")):
         got = header[position] if position < len(header) else ""
         if got != expected:
@@ -311,10 +318,11 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
         parts.append(Part(index=index, name=name, unit=canonical, role=role))
         factors.append(factor)
 
-    parsed = _cells.parse_columns(cells, widths, config.locale)
-    if parsed is None:
-        parsed = _cells.parse_rows(cells, widths, config.locale)
-    del cells  # before the entities are built: see _cells.read_cells
+    if block is None:
+        parsed = _cells.parse_columns(cells, widths, config.locale)
+        if parsed is None:
+            parsed = _cells.parse_rows(cells, widths, config.locale)
+        del cells  # before the entities are built: see _cells.read_cells
     ids, labels, sectors, values = parsed
     entities = list(map(Entity, ids, labels, sectors))
 

@@ -233,6 +233,17 @@ class TestFitBiplot:
         assert np.all(np.isfinite(model.points))
         assert np.all(np.isfinite(model.rays))
 
+    @pytest.mark.parametrize("n", [17, 1025])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_rounding_level_singular_values_give_zero_points(self, n, alpha):
+        # rows alternating between two compositions: one direction carries
+        # all the variance, and the second singular value is rounding noise
+        # (~1e-16 at 17 rows, ~1e-14 at 1025), not an exact zero
+        rows = [TWO_COMPOSITIONS[r % 2] for r in range(n)]
+        model = fit_biplot(clr_matrix(make_table(rows)), alpha=alpha, k=3)
+        assert np.all(model.points[:, 0] != 0.0)
+        assert np.all(model.points[:, 1:] == 0.0)
+
     def test_identical_compositions_degenerate(self):
         # rows proportional -> identical CLR rows -> zero centred matrix
         table = make_table([[1.0, 2.0, 4.0], [2.0, 4.0, 8.0], [4.0, 8.0, 16.0]])

@@ -32,7 +32,7 @@ from coda_atlas import (
 )
 from coda_atlas import _fmt
 from coda_atlas._fmt import check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_rows
-from coda_atlas.biplot import RankingResult, model_to_json, ranking_csv
+from coda_atlas.biplot import Link, RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import ClusterAssignment, assignment_csv, profiles_json
 from coda_atlas.composition import ClrMatrix
 from coda_atlas.errors import InvalidOptions
@@ -230,7 +230,7 @@ def _ranking(scores, exact):
     ids = tuple(f"g{r:02d}" for r in range(len(scores)))
     order = sorted(range(len(ids)), key=lambda r: (-scores[r], ids[r]))
     return RankingResult(
-        link=None, ordering=tuple(ids[r] for r in order),
+        link=None, rows=np.array(order, dtype=np.intp),
         scores=np.array(scores, dtype=float), exact_log_ratios=np.array(exact, dtype=float),
         fidelity=1.0, rank_agreement=1.0, entity_ids=ids,
     )
@@ -250,6 +250,25 @@ class TestRankingCsv:
         for i, j in ((0, 1), (2, 5), (4, 3)):
             result = rank_along_link(model, make_link(model, i, j))
             assert ranking_csv(result) == per_cell_ranking_csv(result)
+
+    def test_unsorted_ids_with_tied_scores_match_per_cell(self):
+        # ids out of row order ("g10" < "g9" as strings), scores tied in
+        # threes; ranking once first fills the model's id ranks, which the
+        # replaced model must not share
+        n = 12
+        model = fit_biplot(clr_matrix(make_table(np.arange(1.0, 3 * n + 1).reshape(n, 3))))
+        link = Link(part_i=0, part_j=1, direction=np.array([1.0, 0.0]), degenerate=False)
+        rank_along_link(model, link)
+        ids = tuple(f"g{r}" for r in (7, 3, 11, 0, 9, 4, 10, 1, 8, 5, 2, 6))
+        scores = [-0.0, 0.5, 0.0, 0.5, 2.0, 0.0, 2.0, 2.0, -1.0, -1.0, 0.5, -1.0]
+        points = np.column_stack([scores, np.zeros(n)])
+        model = dataclasses.replace(model, points=points, entity_ids=ids)
+        result = rank_along_link(model, link)
+        expected = sorted(range(n), key=lambda r: (-scores[r], ids[r]))
+        assert result.ordering == tuple(ids[r] for r in expected)
+        assert result.ordering[:3] == ("g1", "g10", "g9")
+        assert result.ordering[6:9] == ("g11", "g4", "g7")  # -0.0 ties 0.0
+        assert ranking_csv(result) == per_cell_ranking_csv(result)
 
     @pytest.mark.parametrize("bad", [(3, "score", np.nan), (0, "exact", -np.inf), (7, "score", np.inf)])
     def test_non_finite_value_gives_the_per_cell_error(self, bad):

@@ -111,9 +111,12 @@ class TestNumberLocales:
 
 
 #: cells float() reads one way or another, which each locale's grammar
-#: accepts or rejects; with blank and whitespace-only cells, and a newline
+#: accepts or rejects; with blank and whitespace-only cells, a newline,
+#: whitespace that str.strip() removes, a comment sign, overflow and
+#: underflow, and the plain forms float() shares with numpy's text reader
 SPECIAL_CELLS = [
     "1_000", "inf", "nan", "\u0663", " 1.5 ", "0x1", "1,5", "1.000,5", "", "  ", "1\n2",
+    "\x1c1.5", "\x0b1.5", "\xa01.5", "#1", "1e999", "1e-400", "+1.5", "1.", "Infinity",
 ]
 
 _POSITIVE = st.floats(1e-300, 1e300)
@@ -136,20 +139,50 @@ VALID_CELLS = {
 }
 
 
+#: how a table's text departs from one plain line per row
+TABLE_SHAPES = (
+    "plain", "no final newline", "blank line", "CRLF", "NUL", "ragged row",
+    "# in an id", "padded id", "blank id", "quoted id",
+)
+
+
 @st.composite
 def mixed_tables(draw, locale):
-    """CSV text of a 1..6 x 2..4 table of valid cells with up to two special ones."""
+    """CSV text of a 1..6 x 2..4 table of valid cells with up to two special
+    ones, in one of the TABLE_SHAPES."""
     n, D = draw(st.integers(1, 6)), draw(st.integers(2, 4))
     cells = [[draw(VALID_CELLS[locale]) for _ in range(D)] for _ in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, D - 1))
         cells[row][col] = draw(st.sampled_from(SPECIAL_CELLS))
+    shape = draw(st.sampled_from(TABLE_SHAPES))
+    rows = [[f"e{r}", f"Entity {r}", "101X", *row] for r, row in enumerate(cells)]
+    r = draw(st.integers(0, n - 1))
+    if shape == "# in an id":
+        rows[r][0] = f"#e{r}"
+    elif shape == "padded id":
+        rows[r][0] = f"  e{r} "
+    elif shape == "blank id":
+        rows[r][0] = " "
+    elif shape == "ragged row":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else [*rows[r], "1"]
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\r\n" if shape == "CRLF" else "\n")
     writer.writerow(["id", "label", "sector_code", *(f"p{d}" for d in range(D))])
-    for r, row in enumerate(cells):
-        writer.writerow([f"e{r}", f"Entity {r}", "101X", *row])
-    return out.getvalue()
+    writer.writerows(rows)
+    text = out.getvalue()
+    if shape == "no final newline":
+        text = text[:-1]
+    elif shape == "blank line":  # anywhere after the header, the end included
+        lines = text.split("\n")
+        lines.insert(draw(st.integers(1, len(lines) - 1)), "")
+        text = "\n".join(lines)
+    elif shape == "NUL":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\0" + text[at:]
+    elif shape == "quoted id":
+        text = text.replace(f"\ne{r},", f'\n"e{r}",')
+    return text
 
 
 def parse_outcome(parse, text: str, config: IngestConfig):
@@ -171,8 +204,22 @@ class TestColumnParse:
         expected = parse_outcome(per_cell_parse_table, text, config)
         assert parse_outcome(parse_table, text, config) == expected
 
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_a_field_over_the_csv_limit_is_the_csv_error(self, column):
+        row = ["e1", "One", "1011", "2", "3"]
+        row[column] = "1" + "0" * csv.field_size_limit()
+        text = csv_doc(",".join(row), "e2,Two,1011,4,5")
+        expected = parse_outcome(per_cell_parse_table, text, IngestConfig())
+        assert expected.startswith("ParseError:") and "field limit" in expected
+        assert parse_outcome(parse_table, text, IngestConfig()) == expected
+
     @pytest.mark.parametrize(
-        "locale, cell, value", [("point_decimal", "1.5e3", 1.5e3), ("eu", '"1.234,5"', 1234.5)]
+        "locale, cell, value",
+        [
+            ("point_decimal", "1.5e3", 1.5e3),
+            ("point_decimal", '"1.5e3"', 1.5e3),
+            ("eu", '"1.234,5"', 1234.5),
+        ],
     )
     def test_well_formed_table_never_parses_row_by_row(self, monkeypatch, locale, cell, value):
         def refuse(*args):
@@ -182,6 +229,18 @@ class TestColumnParse:
         text = csv_doc(*(f"e{r},Entity {r},101X,{cell},{r + 1}" for r in range(50)))
         table = parse_table(text, IngestConfig(locale=locale))
         assert table.values[7, 0] == value
+
+    @pytest.mark.parametrize("cell, value", [("1.5e3", 1.5e3), (" \x0b+2.", 2.0)])
+    def test_unquoted_point_decimal_table_never_reads_cells(self, monkeypatch, cell, value):
+        def refuse(*args):
+            raise AssertionError("read cell by cell")
+
+        text = csv_doc(*(f" e{r} ,Entity {r},101X,{cell},{r + 1}" for r in range(50)))
+        expected = parse_outcome(per_cell_parse_table, text, IngestConfig())
+        monkeypatch.setattr(_cells, "read_cells", refuse)
+        table = parse_table(text)
+        assert table.values[7, 0] == value
+        assert parse_outcome(parse_table, text, IngestConfig()) == expected
 
 
 class TestUnitRegistry:
