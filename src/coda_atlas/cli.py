@@ -13,6 +13,11 @@ subcommand is a function from the run to ``{file name: content}``, and
 one piece of code and equals ``pipeline``'s file of the same name. ``main``
 writes whatever a subcommand returns through one writer, all files or none,
 and prints their paths.
+
+Stage modules are loaded on first use. This module imports only what the
+stages config -> table -> clr need, and each builder imports the stage
+modules it calls, so ``validate`` and ``clr`` load no biplot, statistics,
+clustering or rendering code.
 """
 
 from __future__ import annotations
@@ -21,22 +26,12 @@ import argparse
 import sys
 from functools import cached_property
 
-from .biplot import fit_biplot, make_link, model_to_json, rank_along_link, ranking_csv
-from .cluster import (
-    _cluster_clr,
-    assignment_csv,
-    cluster_profile,
-    merge_history_json,
-    profiles_json,
-)
 from .composition import clr_matrix, find_ratio, resolvable_ratios
 from .errors import CodaError, InvalidOptions, IoFailure
 from ._fmt import dumps_json
 from .ingest import (
     IngestConfig, clr_csv, parse_table, serialize_table, with_manifest, write_outputs,
 )
-from .render import RenderOptions, render_biplot
-from .stats import describe_csv, pathology_json, pathology_report, summarize_table
 
 #: stage settings as ``pipeline`` runs them, the defaults of every flag that
 #: declares none; ratio=None ranks, and links=None draws, every resolvable link
@@ -71,6 +66,8 @@ class _Analysis:
 
     @cached_property
     def model(self):
+        from .biplot import fit_biplot
+
         return fit_biplot(self.clr, alpha=self.args.alpha, k=self.args.rank)
 
     @cached_property
@@ -82,6 +79,8 @@ class _Analysis:
 
     def link(self, name: str):
         """The link of catalog ratio ``name``."""
+        from .biplot import make_link
+
         table = self.table
         definition = find_ratio(self.config.ratio_catalog, name)
         model = self.model
@@ -99,11 +98,15 @@ def _validate(run: _Analysis) -> dict[str, str]:
 
 
 def _describe(run: _Analysis) -> dict[str, str]:
+    from .stats import describe_csv, summarize_table
+
     summaries = summarize_table(run.table, run.config.ratio_catalog)
     return {"describe.csv": describe_csv(summaries)}
 
 
 def _diagnose(run: _Analysis) -> dict[str, str]:
+    from .stats import pathology_json, pathology_report
+
     report = pathology_report(run.table, run.config.ratio_catalog)
     return {"pathology.json": dumps_json(pathology_json(report))}
 
@@ -113,10 +116,14 @@ def _clr(run: _Analysis) -> dict[str, str]:
 
 
 def _biplot(run: _Analysis) -> dict[str, str]:
+    from .biplot import model_to_json
+
     return {"model.json": model_to_json(run.model)}
 
 
 def _rank(run: _Analysis) -> dict[str, str]:
+    from .biplot import rank_along_link, ranking_csv
+
     links = run.links if run.args.ratio is None else (run.link(run.args.ratio),)
     return {
         f"rankings_{link.label}.csv": ranking_csv(rank_along_link(run.model, link))
@@ -125,6 +132,10 @@ def _rank(run: _Analysis) -> dict[str, str]:
 
 
 def _cluster(run: _Analysis) -> dict[str, str]:
+    from .cluster import (
+        _cluster_clr, assignment_csv, cluster_profile, merge_history_json, profiles_json,
+    )
+
     args = run.args
     if args.clusters is not None and args.threshold is not None:
         raise InvalidOptions("--clusters and --threshold are mutually exclusive")
@@ -144,6 +155,8 @@ def _cluster(run: _Analysis) -> dict[str, str]:
 
 
 def _render(run: _Analysis) -> dict[str, str]:
+    from .render import RenderOptions, render_biplot
+
     model, args = run.model, run.args
     if args.links is None:
         show = tuple(link.label for link in run.links)

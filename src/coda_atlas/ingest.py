@@ -29,7 +29,7 @@ content hashes so reruns can be compared byte for byte.
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import errno
 import json
 import os
 import re
@@ -372,6 +372,8 @@ def with_manifest(outputs: Mapping[str, str | bytes]) -> dict:
     Each output is encoded and hashed on its own, so at most one encoded
     copy is alive at a time.
     """
+    import hashlib  # loads OpenSSL, milliseconds that only callers who hash pay
+
     names = sorted(outputs)
     entries = []
     for name in names:
@@ -387,10 +389,13 @@ def write_outputs(outputs: Mapping[str, str | bytes], directory: str) -> list[st
     """Write each output to ``directory/name``, all or none; return the paths.
 
     Every output goes to a temporary file in the directory first, one at a
-    time; only when all are written are they renamed over their names, in
-    order. A failed write leaves the previous files as they were and no
-    temporary file behind, and raises IoFailure. No outputs create nothing,
-    not even the directory.
+    time; only when all are written, and no name is taken by a directory
+    (which a rename cannot replace), are they renamed over their names, in
+    order. A failed write or such a name leaves the previous files as they
+    were and no temporary file behind, and raises IoFailure. The renames are
+    not one atomic step: a crash between two of them leaves the files
+    renamed so far new, the rest old and their temporary files in place.
+    No outputs create nothing, not even the directory.
     """
     staged: list[tuple[str, str]] = []
     try:
@@ -401,6 +406,9 @@ def write_outputs(outputs: Mapping[str, str | bytes], directory: str) -> list[st
             staged.append((temp, os.path.join(directory, name)))
             with open(temp, "wb") as handle:
                 handle.write(_encode(content))
+        for _, path in staged:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for temp, path in staged:
             os.replace(temp, path)
     except OSError as exc:

@@ -55,8 +55,9 @@ class RenderOptions:
 
     sector_palette=None assigns the built-in defaults plus a fixed color
     cycle for other sectors; an explicit mapping must cover every sector in
-    the table. show_links names ratios from ratio_catalog. margin_fraction
-    is the blank border on each side as a fraction of width/height.
+    the table. show_links names ratios from ratio_catalog, each at most
+    once. margin_fraction is the blank border on each side as a fraction of
+    width/height.
     """
 
     width: int = 800
@@ -84,6 +85,9 @@ class RenderOptions:
                     raise InvalidOptions(
                         f"sector {sector!r}: {color!r} is not a #rrggbb color"
                     )
+        for k, name in enumerate(self.show_links):
+            if name in self.show_links[:k]:
+                raise InvalidOptions(f"link {name!r} is named twice")
 
 
 @dataclass(frozen=True)

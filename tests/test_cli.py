@@ -271,6 +271,13 @@ class TestRender:
         assert code == 1
         assert capsys.readouterr().err.strip() == "UnknownRatio:wombat"
 
+    def test_link_named_twice_exits_one(self, table_csv, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        code = main(["render", table_csv, "--links", "solvency, solvency", "-o", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "InvalidOptions:link 'solvency' is named twice\n"
+        assert not out_dir.exists()
+
 
 class TestNumericRange:
     @pytest.fixture
@@ -583,6 +590,22 @@ class TestReportFiles:
         assert capsys.readouterr().err.startswith("IoFailure:cannot write reports to ")
         assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
+    def test_a_directory_in_place_of_a_report_changes_no_file(self, table_csv, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        assert main(["pipeline", table_csv, "-o", str(out_dir)]) == 0
+        (out_dir / "table.csv").unlink()
+        (out_dir / "table.csv").mkdir()
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir() if path.is_file()}
+        other = tmp_path / "other.csv"
+        other.write_text(synthetic_csv())
+        capsys.readouterr()
+        assert main(["pipeline", str(other), "-o", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"IoFailure:cannot write reports to {str(out_dir)!r}: ")
+        assert err.endswith(f"Is a directory: {str(out_dir / 'table.csv')!r}\n")
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted([*before, "table.csv"])
+        assert {name: (out_dir / name).read_bytes() for name in before} == before
+
 
 #: text that CSV must quote: a comma, a quote or a line break inside a field
 _csv_text = st.text(alphabet=st.sampled_from(list('ab,"\r\n é')), min_size=1, max_size=6).filter(
@@ -629,6 +652,26 @@ class TestCsvQuoting:
             assert sorted(row[0] for row in parsed[name][1:]) == sorted(all_ids)
 
 
+#: the modules every subcommand loads: the package, the CLI and the stages
+#: config -> table -> clr
+CLR_MODULES = {
+    "coda_atlas", "coda_atlas._cells", "coda_atlas._fmt", "coda_atlas.cli",
+    "coda_atlas.composition", "coda_atlas.errors", "coda_atlas.ingest",
+}
+#: the stage modules beyond those that each subcommand loads
+STAGE_MODULES = {
+    "validate": (),
+    "describe": ("stats",),
+    "diagnose": ("stats",),
+    "clr": (),
+    "biplot": ("biplot",),
+    "rank": ("biplot",),
+    "cluster": ("cluster",),
+    "render": ("biplot", "render"),
+    "pipeline": ("biplot", "cluster", "render", "stats"),
+}
+
+
 class TestConsoleScript:
     def test_installed_entry_point_runs(self, table_csv, tmp_path):
         result = subprocess.run(
@@ -661,6 +704,52 @@ class TestConsoleScript:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert result.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("subcommand", sorted(STAGE_MODULES))
+    def test_subcommand_loads_only_the_stage_modules_it_runs(self, subcommand, tmp_path):
+        table_csv = tmp_path / "fixture.csv"
+        table_csv.write_text(synthetic_csv(), encoding="utf-8")
+        flags = ["--ratio", "solvency"] if subcommand == "rank" else []
+        argv = [subcommand, str(table_csv), "-o", str(tmp_path / "out"), *flags]
+        probe = (
+            "import sys; from coda_atlas.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'coda_atlas'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        stages = {f"coda_atlas.{name}" for name in STAGE_MODULES[subcommand]}
+        assert result.stdout.splitlines()[-1].split() == ["0", *sorted(CLR_MODULES | stages)]
+
+    def test_package_namespace_loads_modules_on_first_use(self):
+        probe = (
+            "import sys, coda_atlas\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'coda_atlas')\n"
+            "print(*loaded())\n"
+            "from coda_atlas import cluster\n"
+            "print(cluster is sys.modules['coda_atlas.cluster'], *loaded())\n"
+            "print(coda_atlas.biplot.fit_biplot is coda_atlas.fit_biplot,"
+            " 'fit_biplot' in vars(coda_atlas))\n"
+            "print(hasattr(coda_atlas, 'wombat'), hasattr(coda_atlas, 'cli'))\n"
+            "print(all(hasattr(coda_atlas, name) for name in coda_atlas.__all__))\n"
+            "print(set(coda_atlas.__all__) <= set(dir(coda_atlas)), *loaded())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        stages = ("biplot", "cluster", "composition", "errors", "fixture", "ingest", "render", "stats")
+        every = {"coda_atlas", "coda_atlas._cells", "coda_atlas._fmt"}
+        every |= {f"coda_atlas.{name}" for name in stages}
+        assert result.stdout.splitlines() == [
+            "coda_atlas",
+            "True coda_atlas coda_atlas._fmt coda_atlas.cluster coda_atlas.composition"
+            " coda_atlas.errors",
+            "True True",
+            "False False",
+            "True",
+            " ".join(["True", *sorted(every)]),
+        ]
 
     def test_fixture_module_runs_without_runpy_warning(self, tmp_path):
         out = tmp_path / "fixture.csv"

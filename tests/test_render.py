@@ -72,6 +72,11 @@ class TestRenderOptions:
             with pytest.raises(InvalidOptions):
                 RenderOptions(sector_palette={"101X": bad})
 
+    def test_a_link_named_twice_is_rejected(self):
+        RenderOptions(show_links=("solvency", "energy_intensity"))
+        with pytest.raises(InvalidOptions, match="link 'solvency' is named twice"):
+            RenderOptions(show_links=("solvency", "energy_intensity", "solvency"))
+
 
 class TestViewportFit:
     def test_exact_span_with_zero_margin_is_identity(self):
