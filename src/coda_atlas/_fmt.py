@@ -44,6 +44,9 @@ leaves a bare ``\r`` unquoted, which breaks the line for any reader.)
 
 The stdlib ``json`` module cannot format floats that way, hence the small
 emitter below; string escaping is delegated back to ``json``'s own encoder.
+It is the one JSON layout: :func:`json_rows` writes a list of records by
+laying out one record through it and filling that template with
+:func:`fill_rows`.
 """
 
 from __future__ import annotations
@@ -279,32 +282,6 @@ def fmt_rows(prefixes: Sequence[str], values) -> str:
     return fill_rows("%s" + ",%.17g" * values.shape[1] + "\n", prefixes, values)
 
 
-def _check_floats(items: list) -> None:
-    # the sum of finite floats is finite unless it overflows, and any inf or
-    # nan makes it non-finite: only the overflow case needs the cell checks
-    if not math.isfinite(sum(items)):
-        for x in items:
-            fmt_float(x)
-
-
-def _emit_floats(items: list, child_pad: str, pad: str, out: list[str]) -> None:
-    _check_floats(items)
-    sep = ",\n" + child_pad
-    out.append("[\n" + child_pad + sep.join(["%.17g"] * len(items)) % tuple(items))
-    out.append("\n" + pad + "]")
-
-
-def _emit_float_dict(obj: dict, child_pad: str, pad: str, out: list[str]) -> None:
-    values = list(obj.values())
-    _check_floats(values)
-    args = [None] * (2 * len(values))
-    args[0::2] = [encode_basestring_ascii(str(key)) for key in obj]
-    args[1::2] = values
-    sep = ",\n" + child_pad
-    out.append("{\n" + child_pad + sep.join(["%s: %.17g"] * len(values)) % tuple(args))
-    out.append("\n" + pad + "}")
-
-
 class RawJson(str):
     """JSON text already formatted for where it sits; dumps_json copies it as is."""
 
@@ -320,9 +297,6 @@ def _emit(obj: Any, level: int, out: list[str]) -> None:
         if not obj:
             out.append("{}")
             return
-        if all(type(x) is float for x in obj.values()):
-            _emit_float_dict(obj, child_pad, pad, out)
-            return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(child_pad)
@@ -335,9 +309,6 @@ def _emit(obj: Any, level: int, out: list[str]) -> None:
         items = list(obj)
         if not items:
             out.append("[]")
-            return
-        if all(type(x) is float for x in items):
-            _emit_floats(items, child_pad, pad, out)
             return
         out.append("[\n")
         for i, value in enumerate(items):
@@ -357,13 +328,40 @@ def _emit(obj: Any, level: int, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to report JSON")
 
 
-def dumps_json(obj: Any) -> str:
-    """Serialize to JSON: two spaces per level, deterministic key order, .17g floats.
-
-    A list of plain floats, or a dict whose values are all plain floats, is
-    formatted in one pass; any other value is emitted item by item.
-    """
+def json_text(obj: Any, level: int) -> str:
+    """``obj`` laid out as dumps_json lays it out at nesting ``level``, no final newline."""
     out: list[str] = []
-    _emit(obj, 0, out)
-    out.append("\n")
+    _emit(obj, level, out)
     return "".join(out)
+
+
+def dumps_json(obj: Any) -> str:
+    """Serialize to JSON: two spaces per level, deterministic key order, .17g floats."""
+    return json_text(obj, 0) + "\n"
+
+
+def _conversions(element: Any) -> Any:
+    """``element`` with each leaf as RawJson and each ``%`` in a key doubled."""
+    if isinstance(element, dict):
+        # json escaping leaves "%" as it is, so doubling before it is the same
+        return {str(key).replace("%", "%%"): _conversions(v) for key, v in element.items()}
+    if isinstance(element, (list, tuple)):
+        return [_conversions(value) for value in element]
+    return RawJson(element)
+
+
+def json_rows(element: dict, level: int, *columns: Sequence) -> RawJson:
+    """A list of records, one per row of ``columns``, laid out for nesting ``level``.
+
+    ``element`` is the record's shape: a dict whose leaves are ``%``
+    conversions (``"%d"``, ``"%.17g"``, ``"%s"`` for JSON text). It is laid
+    out once by dumps_json's emitter into a template, which fill_rows fills
+    from ``columns``, so the list has the bytes dumps_json would give the
+    list of filled records at ``level``; zero rows give ``[]``. No check is
+    made here; see check_finite.
+    """
+    if not len(columns[0]):
+        return RawJson("[]")
+    pad = _INDENT * level
+    record = pad + _INDENT + json_text(_conversions(element), level + 1) + ",\n"
+    return RawJson("[\n" + fill_rows(record, *columns)[:-2] + "\n" + pad + "]")

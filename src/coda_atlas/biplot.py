@@ -43,7 +43,7 @@ from .errors import (
     SvdFailure,
     TooFewRows,
 )
-from ._fmt import RawJson, check_finite, csv_fields, dumps_json, fill_rows
+from ._fmt import check_finite, csv_fields, dumps_json, fill_rows, json_rows
 
 #: Relative spread below which a score/log-ratio series counts as constant.
 _CONSTANT_RTOL = 1e-12
@@ -363,35 +363,22 @@ def reconstruct(model: BiplotModel) -> np.ndarray:
     return model.points @ model.rays.T
 
 
-def _points_json(entity_ids, points: np.ndarray) -> RawJson:
-    """The document's "points" list, one ``fill_rows`` pass over all entities.
-
-    Laid out as dumps_json lays out ``[{"id": ..., "coords": [...]}, ...]``
-    at the document's first nesting level.
-    """
-    check_finite(points)
-    coords = ",\n        ".join(["%.17g"] * points.shape[1])
-    row = '    {\n      "id": %s,\n      "coords": [\n        ' + coords + "\n      ]\n    },\n"
-    body = fill_rows(row, list(map(encode_basestring_ascii, entity_ids)), points)
-    return RawJson("[\n" + body[:-2] + "\n  ]")
-
-
 def model_to_json(model: BiplotModel) -> str:
     """Serialize the fitted model to its JSON document (17 significant digits)."""
-    summaries = (model.singular_values, model.explained, model.column_means)
-    for values in summaries:  # written before the points: their errors come first
+    arrays = (model.singular_values, model.explained, model.column_means, model.points, model.rays)
+    for values in arrays:  # in document order: the first error is the first written
         check_finite(values)
+    coords = ["%.17g"] * model.k
+    ids = list(map(encode_basestring_ascii, model.entity_ids))
+    parts = list(map(encode_basestring_ascii, model.part_names))
     doc = {
         "alpha": model.alpha,
         "k": model.k,
         "singular_values": model.singular_values.tolist(),
         "explained": model.explained.tolist(),
         "column_means": model.column_means.tolist(),
-        "points": _points_json(model.entity_ids, model.points),
-        "rays": [
-            {"part": name, "coords": coords}
-            for name, coords in zip(model.part_names, model.rays.tolist())
-        ],
+        "points": json_rows({"id": "%s", "coords": coords}, 1, ids, model.points),
+        "rays": json_rows({"part": "%s", "coords": coords}, 1, parts, model.rays),
     }
     return dumps_json(doc)
 

@@ -172,10 +172,14 @@ def _render(run: _Analysis) -> dict[str, str]:
 
 
 def _pipeline(run: _Analysis) -> dict[str, str]:
-    outputs = {"table.csv": serialize_table(run.table)}
-    # model first: a failed fit is reported before any report's own error
+    outputs = {}
+    # model first: a failed fit is reported before any report's own error.
+    # table.csv after it: a forked fill_rows stops OpenBLAS's threads, and
+    # their restart at the fit's first QR can land beside the main thread.
+    # with_manifest sorts the names, so the order changes no byte.
     for build in (_biplot, _describe, _diagnose, _clr, _rank, _cluster, _render):
         outputs.update(build(run))
+    outputs["table.csv"] = serialize_table(run.table)
     return with_manifest(outputs)
 
 

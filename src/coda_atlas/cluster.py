@@ -21,26 +21,25 @@ on the Lance-Williams updates: it updates one n x n float64 working matrix
 (8 n^2 bytes) in place and keeps each row's nearest neighbour, so a step
 does O(n) vectorised work plus a rescan of the rows whose neighbour took
 part in the merge: about O(n^2) time in practice, O(n^3) at worst.
-Profiles and their JSON take one array pass per distinct cluster size.
-On a 2-vCPU x86 VM at 400x32 with 399 clusters, distances take ~9 ms, the
-merge ~24 ms, cluster_profile ~4 ms and the cluster_profiles.json text
-~14 ms (15, 25, 33 and 29 ms with the full matrix and per-cluster passes).
-The CLI computes the distances straight into that working matrix, so it
-holds one n x n matrix; hierarchical_cluster(dist) callers hold two, their
+Profiles take one array pass per distinct cluster size, and their JSON
+one template fill (_fmt.json_rows). On a 2-vCPU x86 VM at 400x32 with
+399 clusters, distances take ~9 ms, the merge ~24 ms, cluster_profile
+~4 ms and the cluster_profiles.json text ~14 ms. The CLI computes the
+distances straight into that working matrix, so it holds one n x n
+matrix; hierarchical_cluster(dist) callers hold two, their
 DistanceMatrix and the merge's sorted-id copy. At 5000x32 (a 191 MiB
 matrix) a fresh `coda-atlas cluster` peaks at 248 MiB RSS in 3.2 s on
-that VM (250 MiB in 4.4 s with the full matrix and per-cluster passes).
+that VM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
-from ._fmt import RawJson, check_finite, csv_fields, fill_rows
+from ._fmt import check_finite, csv_fields, fill_rows, json_rows, json_text
 from .composition import (
     ClrMatrix,
     IndicatorTable,
@@ -54,6 +53,7 @@ from .composition import (
 from .errors import (
     DimensionMismatch,
     DuplicateEntityId,
+    DuplicatePartName,
     InfeasibleCut,
     InvalidOptions,
     MismatchedEntities,
@@ -425,21 +425,14 @@ def merge_history_json(assignment: ClusterAssignment) -> dict:
     }
 
 
-def _float_dict_template(names: Sequence[str], pad: str) -> str:
-    """%.17g fields keyed by names, laid out as dumps_json lays out a dict at pad."""
-    keys = [encode_basestring_ascii(str(name)).replace("%", "%%") for name in names]
-    fields = (",\n" + pad + "  ").join(key + ": %.17g" for key in keys)
-    return "{\n" + pad + "  " + fields + "\n" + pad + "}" if keys else "{}"
-
-
 def profiles_json(profiles: Sequence[ClusterProfile], part_names: Sequence[str]) -> dict:
     """JSON-ready document for cluster profiles.
 
-    Its "clusters" value is preformatted for dumps_json: one RawJson block,
-    filled by one fill_rows pass, laid out as dumps_json lays out the list
-    of per-cluster dicts (label, members, mean_clr by part, origin_distance,
-    ratio_means). A non-finite value raises dumps_json's error for the
-    first one in document order. Profiles must share their ratio names.
+    Its "clusters" value is one json_rows list of per-cluster records
+    (label, members, mean_clr by part, origin_distance, ratio_means),
+    formatted for dumps_json. A non-finite value raises dumps_json's error
+    for the first one in document order. Profiles must share their ratio
+    names, and ``part_names`` must name each CLR mean once.
     """
     if not profiles:
         return {"clusters": []}
@@ -447,17 +440,21 @@ def profiles_json(profiles: Sequence[ClusterProfile], part_names: Sequence[str])
     if any(list(p.ratio_means) != ratio_names for p in profiles):
         raise InvalidOptions("cluster profiles must share their ratio names")
     means = np.array([p.mean_clr for p in profiles], dtype=float)
-    parts = list(part_names)[:means.shape[1]]
+    if len(part_names) != means.shape[1]:
+        raise DimensionMismatch(f"{len(part_names)} part names for {means.shape[1]} CLR means")
+    repeated = duplicated(part_names)
+    if repeated:
+        raise DuplicatePartName(",".join(repeated))
     ratios = np.array([list(p.ratio_means.values()) for p in profiles], dtype=float)
     origins = [p.origin_distance for p in profiles]
-    values = np.column_stack((means[:, :len(parts)], origins, ratios))
+    values = np.column_stack((means, origins, ratios))
     check_finite(values)
-    row = (
-        '    {\n      "label": %d,\n      "members": [\n        %s\n      ],\n'
-        '      "mean_clr": ' + _float_dict_template(parts, "      ") + ",\n"
-        '      "origin_distance": %.17g,\n'
-        '      "ratio_means": ' + _float_dict_template(ratio_names, "      ") + "\n    },\n"
-    )
-    members = [",\n        ".join(map(encode_basestring_ascii, p.member_ids)) for p in profiles]
-    body = fill_rows(row, [p.label for p in profiles], members, values)
-    return {"clusters": RawJson("[\n" + body[:-2] + "\n  ]")}
+    element = {
+        "label": "%d",
+        "members": "%s",
+        "mean_clr": dict.fromkeys(part_names, "%.17g"),
+        "origin_distance": "%.17g",
+        "ratio_means": dict.fromkeys(ratio_names, "%.17g"),
+    }
+    members = [json_text(p.member_ids, 3) for p in profiles]
+    return {"clusters": json_rows(element, 1, [p.label for p in profiles], members, values)}

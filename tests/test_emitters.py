@@ -6,6 +6,7 @@ for a non-finite number.
 
 import dataclasses
 import html
+import json
 import xml.etree.ElementTree as ET
 from unittest.mock import patch
 
@@ -31,11 +32,13 @@ from coda_atlas import (
     validate_table,
 )
 from coda_atlas import _fmt
-from coda_atlas._fmt import check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_rows
+from coda_atlas._fmt import (
+    check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_rows, json_rows,
+)
 from coda_atlas.biplot import Link, RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import ClusterAssignment, assignment_csv, profiles_json
 from coda_atlas.composition import ClrMatrix
-from coda_atlas.errors import InvalidOptions
+from coda_atlas.errors import DimensionMismatch, DuplicatePartName, InvalidOptions
 from coda_atlas.ingest import DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog, serialize_table
 from coda_atlas.render import _project
 from coda_atlas.stats import DescriptiveSummary, describe_csv
@@ -369,6 +372,84 @@ class TestDumpsJson:
         }
 
 
+#: record keys: the characters JSON escapes, "%" and non-ASCII among them
+record_keys = st.text(
+    alphabet=st.one_of(st.sampled_from('%"\\\u00e9\u65e5\x00\x1f\n\t'), st.characters()),
+    max_size=4,
+)
+#: a record's shape: leaves are "d" (int), "g" (float) or "s" (string)
+record_shapes = st.dictionaries(
+    record_keys,
+    st.recursive(
+        st.sampled_from("dgs"),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3), st.dictionaries(record_keys, children, max_size=3)
+        ),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+CONVERSIONS = {"d": "%d", "g": "%.17g", "s": "%s"}
+
+
+def leaves(shape):
+    if isinstance(shape, dict):
+        return [leaf for value in shape.values() for leaf in leaves(value)]
+    if isinstance(shape, list):
+        return [leaf for value in shape for leaf in leaves(value)]
+    return [shape]
+
+
+def fill_shape(shape, values):
+    """``shape`` with its leaves, in document order, taken from the iterator ``values``."""
+    if isinstance(shape, dict):
+        return {key: fill_shape(value, values) for key, value in shape.items()}
+    if isinstance(shape, list):
+        return [fill_shape(value, values) for value in shape]
+    return next(values)
+
+
+class TestJsonRows:
+    """json_rows embedded in a document against the per-cell emitter."""
+
+    @given(
+        shape=record_shapes,
+        n=st.sampled_from([0, 1, 1025]),
+        nesting=st.lists(st.booleans(), min_size=1, max_size=3),
+        ints=st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=3),
+        floats=st.lists(finite, min_size=1, max_size=3),
+        texts=st.lists(st.text(max_size=4), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell_at_any_level(self, shape, n, nesting, ints, floats, texts):
+        kinds = leaves(shape)
+        if not kinds:  # a record without conversions has no column to count its rows
+            shape, kinds = {**shape, "%": "d"}, kinds + ["d"]
+
+        def cell(kind, r):
+            if kind == "d":
+                return ints[r % len(ints)] + r
+            if kind == "g":
+                return floats[r % len(floats)]
+            return texts[r % len(texts)] + str(r)
+
+        rows = [[cell(kind, r) for kind in kinds] for r in range(n)]
+        records = [fill_shape(shape, iter(row)) for row in rows]
+        columns = [
+            [json.dumps(row[c]) if kind == "s" else row[c] for row in rows]
+            for c, kind in enumerate(kinds)
+        ]
+        element = fill_shape(shape, (CONVERSIONS[kind] for kind in kinds))
+
+        def embed(value):
+            for in_list in nesting:
+                value = [value] if in_list else {"rows%": value}
+            return value
+
+        got = dumps_json(embed(json_rows(element, len(nesting), *columns)))
+        assert got == per_cell_dumps_json(embed(records))
+
+
 class TestClusterProfilesDocument:
     """The one-template "clusters" block against the plain dict document."""
 
@@ -397,6 +478,17 @@ class TestClusterProfilesDocument:
         text = dumps_json(profiles_json(profiles, parts))
         assert text.count('"ratio_means": {}') == 3
         assert text == per_cell_dumps_json(per_cluster_profiles_json(profiles, parts))
+
+    def test_part_names_must_match_the_means_one_to_one(self):
+        table = synthetic_table()
+        assignment = hierarchical_cluster(distance_matrix(clr_matrix(table)), n_clusters=3)
+        profiles = cluster_profile(table, assignment)
+        with pytest.raises(DimensionMismatch) as short:
+            profiles_json(profiles, table.part_names[:5])
+        assert short.value.record() == "DimensionMismatch:5 part names for 8 CLR means"
+        with pytest.raises(DuplicatePartName) as repeated:
+            profiles_json(profiles, [table.part_names[0]] * 8)
+        assert repeated.value.record() == "DuplicatePartName:net_revenue"
 
     def test_profiles_must_share_their_ratio_names(self):
         profiles, parts = self.profiles(2)

@@ -19,8 +19,9 @@ import pytest
 from coda_atlas import (
     RenderOptions, clr_matrix, cluster_profile, distance_matrix, fit_biplot, hierarchical_cluster,
 )
-from coda_atlas import _fmt
+from coda_atlas import _fmt, biplot, cli
 from coda_atlas._fmt import csv_fields, dumps_json, fill_rows, fmt_rows
+from coda_atlas.fixture import synthetic_csv
 from coda_atlas.biplot import RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import assignment_csv, profiles_json
 from coda_atlas.ingest import DEFAULT_PART_SCHEMA, default_ratio_catalog
@@ -148,6 +149,28 @@ class TestSameText:
             warnings.simplefilter("error")
             assert fill_rows("%d\n", np.arange(3 * B)) == serial(fill_rows, "%d\n", np.arange(3 * B))
         assert len(forks) == 1
+
+
+    def test_pipeline_fits_before_its_first_fork(self, forks, monkeypatch, tmp_path):
+        # a fork stops OpenBLAS's threads, whose restart at the fit's first QR
+        # can land beside the main thread: nothing is forked before the fit
+        (tmp_path / "fx.csv").write_text(synthetic_csv())
+        monkeypatch.setattr(_fmt, "_BLOCK_ROWS", 4)
+        calls = []
+        real_fit, real_fill_forked = biplot.fit_biplot, _fmt._fill_forked
+
+        def fit(*args, **kwargs):
+            calls.append("fit_biplot")
+            return real_fit(*args, **kwargs)
+
+        def fill_forked(*args):
+            calls.append("_fill_forked")
+            return real_fill_forked(*args)
+
+        monkeypatch.setattr(biplot, "fit_biplot", fit)
+        monkeypatch.setattr(_fmt, "_fill_forked", fill_forked)
+        assert cli.main(["pipeline", str(tmp_path / "fx.csv"), "--out", str(tmp_path)]) == 0
+        assert calls[0] == "fit_biplot" and "_fill_forked" in calls, calls
 
 
 class TestFailures:
