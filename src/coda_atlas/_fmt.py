@@ -225,6 +225,19 @@ def _fork_share(fill, lo: int, hi: int, cpu: int | None) -> tuple[int, int] | No
     return pid, fd
 
 
+def _read_share(fd: int) -> str | None:
+    """A child's share from its memory file; None when one read misses bytes.
+
+    The raw bytes die on return, so they are not alive beside the shares
+    when those are joined.
+    """
+    size = os.fstat(fd).st_size
+    data = os.pread(fd, size, 0)
+    if len(data) != size:  # one read returns at most ~2 GiB
+        return None
+    return data.decode("utf-8", "surrogatepass")
+
+
 def _fill_forked(fill, ranges: list[tuple[int, int]], cpus: list[int | None]) -> str:
     """``fill`` over consecutive row ranges: the first here, one child per other.
 
@@ -249,12 +262,10 @@ def _fill_forked(fill, ranges: list[tuple[int, int]], cpus: list[int | None]) ->
                 except ChildProcessError:  # reaped elsewhere: SIGCHLD ignored, say
                     done = False
                 child[0] = None
-                if done:
-                    size = os.fstat(fd).st_size
-                    data = os.pread(fd, size, 0)
-                    if len(data) == size:  # one read returns at most ~2 GiB
-                        parts.append(data.decode("utf-8", "surrogatepass"))
-                        continue
+                share = _read_share(fd) if done else None
+                if share is not None:
+                    parts.append(share)
+                    continue
             parts.append(fill(lo, hi))
         return "".join(parts)
     finally:

@@ -22,6 +22,9 @@ and the points are Z V_k S_k^(alpha-1). Up to 1024 rows TSQR is one QR.
 LAPACK's SVD of a tall Z changes in its last bits with the OpenBLAS thread
 count, while the QR of 1024 x 32 blocks and of the small R do not (a test
 pins this at 20000 x 32); with 200 parts or more the QR does as well.
+The ``coda-atlas`` command runs one OpenBLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set, so its fit is the same on every machine;
+this module leaves the thread count to its caller.
 """
 
 from __future__ import annotations

@@ -18,13 +18,30 @@ Stage modules are loaded on first use. This module imports only what the
 stages config -> table -> clr need, and each builder imports the stage
 modules it calls, so ``validate`` and ``clr`` load no biplot, statistics,
 clustering or rendering code.
+
+The CLI runs numpy's OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS``
+is set: it sets that variable before its first import that loads numpy.
+An explicit value wins. Importing ``coda_atlas`` or a stage module leaves
+the environment alone, and a process that loaded numpy before this module
+keeps the thread count it started with.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cached_property
+
+# One OpenBLAS thread unless the user chose a count; OpenBLAS reads the
+# variable once, when numpy loads, so this comes before the first import
+# that loads numpy. Measured at 20000x32 on a 2-vCPU Linux VM (numpy 2.4.6,
+# OpenBLAS 0.3.31, 10 fresh processes each): the warm fit_biplot median went
+# from 19.2 ms with two threads to 11.8 ms with one, and the first fit took
+# 1.1 s in one two-thread process (281 involuntary context switches) but at
+# most 14 ms on one thread. model.json of a table with 200 parts or
+# more depends on the thread count, so one count gives one file everywhere.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .composition import clr_matrix, find_ratio, resolvable_ratios
 from .errors import CodaError, InvalidOptions, IoFailure
@@ -174,8 +191,9 @@ def _render(run: _Analysis) -> dict[str, str]:
 def _pipeline(run: _Analysis) -> dict[str, str]:
     outputs = {}
     # model first: a failed fit is reported before any report's own error.
-    # table.csv after it: a forked fill_rows stops OpenBLAS's threads, and
-    # their restart at the fit's first QR can land beside the main thread.
+    # table.csv after it: under an explicit OPENBLAS_NUM_THREADS above 1, a
+    # forked fill_rows stops OpenBLAS's threads, and their restart at the
+    # fit's first QR can land beside the main thread.
     # with_manifest sorts the names, so the order changes no byte.
     for build in (_biplot, _describe, _diagnose, _clr, _rank, _cluster, _render):
         outputs.update(build(run))

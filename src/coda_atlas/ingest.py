@@ -374,14 +374,13 @@ def with_manifest(outputs: Mapping[str, str | bytes]) -> dict:
     """
     import hashlib  # loads OpenSSL, milliseconds that only callers who hash pay
 
-    names = sorted(outputs)
-    entries = []
-    for name in names:
+    def entry(name: str) -> dict:
+        # a local blob dies on return, before the next output is encoded
         blob = _encode(outputs[name])
-        entries.append(
-            {"name": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
-        )
-    manifest = dumps_json({"files": entries})
+        return {"name": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+
+    names = sorted(outputs)
+    manifest = dumps_json({"files": [entry(name) for name in names]})
     return {**{name: outputs[name] for name in names}, "manifest.json": manifest}
 
 

@@ -309,6 +309,26 @@ class TestTsqrFit:
             documents.append((out / "model.json").read_bytes())
         assert documents[0] == documents[1]
 
+    def test_cli_fits_a_wide_table_on_one_thread_unless_told(self, tmp_path):
+        # at 300 parts model.json depends on the OpenBLAS thread count; an
+        # earlier import of coda_atlas.cli in this process set the variable
+        source = tmp_path / "table.csv"
+        source.write_text(perfbench_table_csv(1000, 300, 1))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        documents = []
+        for threads in (None, "1"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "coda_atlas.cli", "biplot", str(source), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            documents.append((out / "model.json").read_bytes())
+        assert documents[0] == documents[1]
+
 
 class TestReconstruction:
     def test_full_rank_recovers_centred_matrix(self, rng):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -750,6 +751,38 @@ class TestConsoleScript:
             "True",
             " ".join(["True", *sorted(every)]),
         ]
+
+    @staticmethod
+    def probe_threads(script, threads=None):
+        """stdout of ``script`` in a fresh interpreter, OPENBLAS_NUM_THREADS=threads."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        return result.stdout.split()
+
+    def test_cli_runs_one_openblas_thread_unless_told(self):
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status to count threads")
+        script = (
+            "import os\n"
+            "import coda_atlas.cli\n"
+            "import numpy as np\n"
+            "np.linalg.qr(np.random.default_rng(0).standard_normal((2000, 64)))\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'),"
+            " *[line.split()[1] for line in status if line.startswith('Threads:')])\n"
+        )
+        assert self.probe_threads(script) == ["1", "1"]
+        explicit = "import os, coda_atlas.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.probe_threads(explicit, threads="3") == ["3"]
+        package = (
+            "import os, coda_atlas, coda_atlas.biplot; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))"
+        )
+        assert self.probe_threads(package) == ["unset"]
 
     def test_fixture_module_runs_without_runpy_warning(self, tmp_path):
         out = tmp_path / "fixture.csv"

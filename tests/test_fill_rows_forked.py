@@ -27,7 +27,7 @@ from coda_atlas.cluster import assignment_csv, profiles_json
 from coda_atlas.ingest import DEFAULT_PART_SCHEMA, default_ratio_catalog
 from coda_atlas.render import render_biplot
 
-from conftest import make_table
+from conftest import OPENBLAS_THREADS_AT_START, make_table
 
 B = _fmt._BLOCK_ROWS
 
@@ -144,7 +144,18 @@ class TestSameText:
 
     def test_fork_warns_nothing(self, forks):
         # Python >= 3.12 warns on a fork while other OS threads (OpenBLAS's) run
-        np.linalg.qr(np.eye(64))
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status to count threads")
+        if (os.cpu_count() or 1) < 2 or OPENBLAS_THREADS_AT_START == "1":
+            pytest.skip("OpenBLAS runs no second thread here")
+        # large enough to thread: an earlier fork stopped the pool, and a
+        # small call would leave it stopped
+        np.linalg.qr(np.random.default_rng(0).standard_normal((2000, 64)))
+        with open("/proc/self/status") as handle:
+            threads = [int(line.split()[1]) for line in handle if line.startswith("Threads:")]
+        # numpy loaded before coda_atlas.cli set OPENBLAS_NUM_THREADS (conftest
+        # imports it first); without a second thread this test checks nothing
+        assert threads[0] >= 2, "no OpenBLAS thread is live beside this one"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fill_rows("%d\n", np.arange(3 * B)) == serial(fill_rows, "%d\n", np.arange(3 * B))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from coda_atlas import (
 )
 from coda_atlas import _cells, composition, ingest
 from coda_atlas.cli import main
-from coda_atlas.ingest import clr_csv, write_outputs
+from coda_atlas.ingest import clr_csv, with_manifest, write_outputs
 from coda_atlas.errors import (
     CodaError,
     DegenerateVariance,
@@ -672,6 +673,19 @@ class TestReports:
 
     def test_empty_outputs_give_empty_manifest(self, tmp_path):
         assert write_reports({}, str(tmp_path)) == {"files": []}
+
+    def test_manifest_holds_one_encoded_output_at_a_time(self):
+        size = 8 << 20
+        outputs = {"a.csv": "a" * size, "b.csv": "b" * size}
+        with_manifest({"warm.csv": "x"})  # loads hashlib outside the trace
+        tracemalloc.start()
+        try:
+            manifest = with_manifest(outputs)["manifest.json"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [entry["bytes"] for entry in json.loads(manifest)["files"]] == [size, size]
+        assert peak < 1.5 * size, peak
 
     def test_failure_on_the_third_file_leaves_the_last_run_in_place(self, tmp_path, monkeypatch):
         out = tmp_path / "reports"
