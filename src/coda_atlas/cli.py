@@ -9,10 +9,10 @@ errors exit with code 2.
 Every subcommand reads one staged run, ``_Analysis``, whose stages (config
 -> table -> clr -> model -> links) are built on first use and then kept. A
 subcommand is a function from the run to ``{file name: content}``, and
-``pipeline`` is their union plus the manifest, so each artifact is built by
-one piece of code and equals ``pipeline``'s file of the same name. ``main``
-writes whatever a subcommand returns through one writer, all files or none,
-and prints their paths.
+``pipeline`` is their union, so each artifact is built by one piece of code
+and equals ``pipeline``'s file of the same name. ``main`` writes whatever a
+subcommand returns through one writer, all files or none, and prints their
+paths; for ``pipeline`` the writer adds the manifest.
 
 Stage modules are loaded on first use. This module imports only what the
 stages config -> table -> clr need, and each builder imports the stage
@@ -46,9 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .composition import clr_matrix, find_ratio, resolvable_ratios
 from .errors import CodaError, InvalidOptions, IoFailure
 from ._fmt import dumps_json
-from .ingest import (
-    IngestConfig, clr_csv, parse_table, serialize_table, with_manifest, write_outputs,
-)
+from .ingest import IngestConfig, clr_csv, parse_table, serialize_table, write_outputs
 
 #: stage settings as ``pipeline`` runs them, the defaults of every flag that
 #: declares none; ratio=None ranks, and links=None draws, every resolvable link
@@ -194,11 +192,12 @@ def _pipeline(run: _Analysis) -> dict[str, str]:
     # table.csv after it: under an explicit OPENBLAS_NUM_THREADS above 1, a
     # forked fill_rows stops OpenBLAS's threads, and their restart at the
     # fit's first QR can land beside the main thread.
-    # with_manifest sorts the names, so the order changes no byte.
+    # The writer sorts the names when it writes the manifest, so the order
+    # changes no byte.
     for build in (_biplot, _describe, _diagnose, _clr, _rank, _cluster, _render):
         outputs.update(build(run))
     outputs["table.csv"] = serialize_table(run.table)
-    return with_manifest(outputs)
+    return outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for path in write_outputs(args.build(_Analysis(args)), args.out):
+        outputs = args.build(_Analysis(args))
+        for path in write_outputs(outputs, args.out, manifest=args.subcommand == "pipeline"):
             print(path)
         return 0
     except CodaError as exc:

@@ -22,8 +22,10 @@ raises the first one in row order. All three parses live in ``_cells``.
 
 All numeric output uses point decimals with 17 significant digits, which
 round-trips IEEE doubles exactly. Every report file is written by one
-writer, :func:`write_outputs`, all or none; ``pipeline`` adds a manifest of
-content hashes so reruns can be compared byte for byte.
+writer, :func:`write_outputs`, all or none. It encodes each report once, a
+slice at a time, and with a manifest (``pipeline``, :func:`write_reports`)
+hashes the same slices, so reruns can be compared byte for byte without a
+whole encoded copy of any report in memory.
 """
 
 from __future__ import annotations
@@ -366,56 +368,33 @@ def clr_csv(clr: ClrMatrix) -> str:
     return header + fmt_rows(csv_fields(clr.entity_ids), clr.values)
 
 
-def with_manifest(outputs: Mapping[str, str | bytes]) -> dict:
-    """The outputs in name order, then manifest.json: name, sha256, size of each.
-
-    Each output is encoded and hashed on its own, so at most one encoded
-    copy is alive at a time.
-    """
-    import hashlib  # loads OpenSSL, milliseconds that only callers who hash pay
-
-    def entry(name: str) -> dict:
-        # a local blob dies on return, before the next output is encoded
-        blob = _encode(outputs[name])
-        return {"name": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
-
-    names = sorted(outputs)
-    manifest = dumps_json({"files": [entry(name) for name in names]})
-    return {**{name: outputs[name] for name in names}, "manifest.json": manifest}
+#: characters encoded at a time: a report is written, hashed and counted one
+#: encoded slice at a time, so no whole encoded copy of it ever exists
+_SLICE = 1 << 20
 
 
-def write_outputs(outputs: Mapping[str, str | bytes], directory: str) -> list[str]:
+def write_outputs(
+    outputs: Mapping[str, str | bytes], directory: str, manifest: bool = False
+) -> list[str]:
     """Write each output to ``directory/name``, all or none; return the paths.
 
     Every output goes to a temporary file in the directory first, one at a
-    time; only when all are written, and no name is taken by a directory
-    (which a rename cannot replace), are they renamed over their names, in
-    order. A failed write or such a name leaves the previous files as they
-    were and no temporary file behind, and raises IoFailure. The renames are
-    not one atomic step: a crash between two of them leaves the files
-    renamed so far new, the rest old and their temporary files in place.
-    No outputs create nothing, not even the directory.
+    time, encoded in slices of ``_SLICE`` characters; only when all are
+    written, and no name is taken by a directory (which a rename cannot
+    replace), are they renamed over their names, in order. With
+    ``manifest`` the outputs go in name order, followed by ``manifest.json``,
+    which lists each one's name, sha256 and size in bytes, hashed from the
+    slices as they are written; the name ``manifest.json`` among the outputs
+    is then InvalidOptions, before anything is written.
+
+    Any failure leaves the previous files as they were and no temporary
+    file behind; a failed write or a name taken by a directory raises
+    IoFailure, and any other error is raised as it is. The renames are not
+    one atomic step: a crash between two of them leaves the files renamed
+    so far new, the rest old and their temporary files in place. No outputs
+    and no manifest create nothing, not even the directory.
     """
-    staged: list[tuple[str, str]] = []
-    try:
-        if outputs:
-            os.makedirs(directory, exist_ok=True)
-        for name, content in outputs.items():
-            temp = os.path.join(directory, f".{name}.tmp")
-            staged.append((temp, os.path.join(directory, name)))
-            with open(temp, "wb") as handle:
-                handle.write(_encode(content))
-        for _, path in staged:
-            if os.path.isdir(path) and not os.path.islink(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        for temp, path in staged:
-            os.replace(temp, path)
-    except OSError as exc:
-        for temp, _ in staged:
-            with contextlib.suppress(OSError):
-                os.remove(temp)
-        raise IoFailure(f"cannot write reports to {directory!r}: {exc}") from exc
-    return [path for _, path in staged]
+    return _write(outputs, directory, manifest)[0]
 
 
 def write_reports(outputs: Mapping[str, str | bytes], directory: str) -> dict:
@@ -424,10 +403,66 @@ def write_reports(outputs: Mapping[str, str | bytes], directory: str) -> dict:
     Returns the manifest document. Writing the same outputs twice yields
     byte-identical files and manifest.
     """
-    outputs = with_manifest(outputs)
-    write_outputs(outputs, directory)
-    return json.loads(outputs["manifest.json"])
+    return _write(outputs, directory, manifest=True)[1]
 
 
-def _encode(content: str | bytes) -> bytes:
-    return content.encode("utf-8") if isinstance(content, str) else content
+def _write(
+    outputs: Mapping[str, str | bytes], directory: str, manifest: bool
+) -> tuple[list[str], dict | None]:
+    """write_outputs: the paths written and the manifest document, if any."""
+    if manifest:
+        if "manifest.json" in outputs:
+            raise InvalidOptions("output name 'manifest.json' is taken by the manifest")
+        import hashlib  # loads OpenSSL, milliseconds that only callers who hash pay
+    staged: list[tuple[str, str]] = []
+
+    def stage(name: str, content: str | bytes, digest=None) -> int:
+        """Write content to name's temporary file; return its size in bytes."""
+        temp = os.path.join(directory, f".{name}.tmp")
+        staged.append((temp, os.path.join(directory, name)))
+        size = 0
+        with open(temp, "wb") as handle:
+            for piece in _encoded(content):
+                handle.write(piece)
+                if digest is not None:
+                    digest.update(piece)
+                size += len(piece)
+        return size
+
+    doc = None
+    try:
+        if outputs or manifest:
+            os.makedirs(directory, exist_ok=True)
+        if manifest:
+            files = []
+            for name in sorted(outputs):
+                digest = hashlib.sha256()
+                size = stage(name, outputs[name], digest)
+                files.append({"name": name, "sha256": digest.hexdigest(), "bytes": size})
+            doc = {"files": files}
+            stage("manifest.json", dumps_json(doc))
+        else:
+            for name, content in outputs.items():
+                stage(name, content)
+        for _, path in staged:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for temp, path in staged:
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write reports to {directory!r}: {exc}") from exc
+        raise
+    return [path for _, path in staged], doc
+
+
+def _encoded(content: str | bytes):
+    """content as UTF-8 bytes: a str in slices of _SLICE characters, bytes whole."""
+    if not isinstance(content, str):
+        yield content
+        return
+    for start in range(0, len(content), _SLICE):
+        yield content[start:start + _SLICE].encode("utf-8")

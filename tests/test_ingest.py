@@ -1,6 +1,7 @@
 """CSV ingestion: locales, units, config round-trips, report writing."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -31,7 +32,7 @@ from coda_atlas import (
 )
 from coda_atlas import _cells, composition, ingest
 from coda_atlas.cli import main
-from coda_atlas.ingest import clr_csv, with_manifest, write_outputs
+from coda_atlas.ingest import clr_csv, write_outputs
 from coda_atlas.errors import (
     CodaError,
     DegenerateVariance,
@@ -674,18 +675,79 @@ class TestReports:
     def test_empty_outputs_give_empty_manifest(self, tmp_path):
         assert write_reports({}, str(tmp_path)) == {"files": []}
 
-    def test_manifest_holds_one_encoded_output_at_a_time(self):
+    def test_writer_holds_no_whole_encoded_output(self, tmp_path):
         size = 8 << 20
         outputs = {"a.csv": "a" * size, "b.csv": "b" * size}
-        with_manifest({"warm.csv": "x"})  # loads hashlib outside the trace
+        write_reports({"warm.csv": "x"}, str(tmp_path / "warm"))  # warms the writer untraced
         tracemalloc.start()
         try:
-            manifest = with_manifest(outputs)["manifest.json"]
+            manifest = write_reports(outputs, str(tmp_path / "out"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [entry["bytes"] for entry in json.loads(manifest)["files"]] == [size, size]
-        assert peak < 1.5 * size, peak
+        assert [entry["bytes"] for entry in manifest["files"]] == [size, size]
+        # a few encoded slices, never one whole 8 MiB output
+        assert peak < 4 << 20, peak
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "a" * (ingest._SLICE - 1) + "\u00e9\u00e9" + "z",
+            b"\x00raw\xff bytes",
+            "",
+        ],
+        ids=["two_byte_char_at_slice_boundary", "bytes", "empty"],
+    )
+    def test_manifest_entries_match_the_files(self, tmp_path, content):
+        manifest = write_reports({"r.txt": content, "s.csv": "x\n"}, str(tmp_path))
+        for entry in manifest["files"]:
+            blob = (tmp_path / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+            assert entry["bytes"] == len(blob)
+        expected = content.encode("utf-8") if isinstance(content, str) else content
+        assert (tmp_path / "r.txt").read_bytes() == expected
+
+    def test_each_output_is_encoded_once(self, tmp_path):
+        encoded = []
+
+        class Tallied(str):
+            """A str whose slices are Tallied too; encode records its length."""
+
+            def __getitem__(self, key):
+                return Tallied(str.__getitem__(self, key))
+
+            def encode(self, *args, **kwargs):
+                encoded.append(len(self))
+                return str.encode(self, *args, **kwargs)
+
+        short, long = Tallied("x,\u00e9\n" * 100), Tallied("y" * (ingest._SLICE + 5))
+        write_reports({"a.csv": short, "b.csv": long}, str(tmp_path / "manifested"))
+        assert encoded == [len(short), ingest._SLICE, 5]
+        encoded.clear()
+        write_outputs({"b.csv": long, "a.csv": short}, str(tmp_path / "plain"))
+        assert encoded == [ingest._SLICE, 5, len(short)]
+
+    def test_an_output_named_manifest_is_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "reports"
+        with pytest.raises(InvalidOptions) as err:
+            write_reports({"a.csv": "x\n", "manifest.json": "user content\n"}, str(out))
+        assert err.value.record() == (
+            "InvalidOptions:output name 'manifest.json' is taken by the manifest"
+        )
+        assert not out.exists()
+        # without a manifest the name is an ordinary output
+        write_outputs({"manifest.json": "user content\n"}, str(out))
+        assert (out / "manifest.json").read_text() == "user content\n"
+
+    @pytest.mark.parametrize("write", [write_outputs, write_reports])
+    def test_unencodable_output_leaves_no_temporary_file(self, tmp_path, write):
+        out = tmp_path / "reports"
+        old = {"a.csv": "old a\n", "b.csv": "old b\n", "c.csv": "old c\n"}
+        write_outputs(old, str(out))
+        new = {"a.csv": "new a\n", "b.csv": "lone \ud800 surrogate\n", "c.csv": "new c\n"}
+        with pytest.raises(UnicodeEncodeError):
+            write(new, str(out))
+        assert {path.name: path.read_text() for path in out.iterdir()} == old
 
     def test_failure_on_the_third_file_leaves_the_last_run_in_place(self, tmp_path, monkeypatch):
         out = tmp_path / "reports"
