@@ -9,8 +9,9 @@ errors exit with code 2.
 Every subcommand reads one staged run, ``_Analysis``, whose stages (config
 -> table -> clr -> model -> links) are built on first use and then kept. A
 subcommand is a function from the run to ``{file name: content}``, and
-``pipeline`` is their union, so each artifact is built by one piece of code
-and equals ``pipeline``'s file of the same name. ``main`` writes whatever a
+``pipeline`` is their union. Every flag defaults to ``pipeline``'s setting,
+so each artifact is built by one piece of code and, without flags, equals
+``pipeline``'s file of the same name. ``main`` writes whatever a
 subcommand returns through one writer, all files or none, and prints their
 paths; for ``pipeline`` the writer adds the manifest.
 
@@ -44,12 +45,12 @@ from functools import cached_property
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .composition import clr_matrix, find_ratio, resolvable_ratios
-from .errors import CodaError, InvalidOptions, IoFailure
+from .errors import CodaError, IoFailure
 from ._fmt import dumps_json
 from .ingest import IngestConfig, clr_csv, parse_table, serialize_table, write_outputs
 
-#: stage settings as ``pipeline`` runs them, the defaults of every flag that
-#: declares none; ratio=None ranks, and links=None draws, every resolvable link
+#: stage settings as ``pipeline`` runs them, the default of every flag;
+#: ratio=None ranks along, and links=None draws, every resolvable link
 _STAGE_DEFAULTS = dict(
     alpha=1.0, rank=2, ratio=None, linkage="complete", clusters=None,
     threshold=None, links=None, width=800, height=600,
@@ -152,14 +153,7 @@ def _cluster(run: _Analysis) -> dict[str, str]:
     )
 
     args = run.args
-    if args.clusters is not None and args.threshold is not None:
-        raise InvalidOptions("--clusters and --threshold are mutually exclusive")
-    assignment = _cluster_clr(
-        run.clr,
-        linkage=args.linkage,
-        n_clusters=args.clusters,
-        threshold=args.threshold,
-    )
+    assignment = _cluster_clr(run.clr, args.linkage, args.clusters, args.threshold)
     ratios = resolvable_ratios(run.table, run.config.ratio_catalog)
     profiles = cluster_profile(run.table, assignment, ratios)
     return {
@@ -225,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, help="number of components")
 
     p = add("rank", _rank, "rank entities along a ratio link")
-    p.add_argument("--ratio", required=True, help="catalog ratio name")
+    p.add_argument("--ratio", help="catalog ratio name (default: all resolvable)")
 
     p = add("cluster", _cluster, "agglomerative clustering on Aitchison distance")
     p.add_argument("--linkage", choices=("single", "complete", "average"))
@@ -233,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, help="cut at this distance")
 
     p = add("render", _render, "render the biplot SVG")
-    p.add_argument("--links", default="", help="comma-separated ratio names to draw")
+    p.add_argument("--links", help="comma-separated ratio names to draw (default: all resolvable)")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
 

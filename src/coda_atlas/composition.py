@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    CodaError,
     DegenerateRow,
     DimensionMismatch,
     DuplicateEntityId,
@@ -49,11 +48,9 @@ class Part:
 
     def __post_init__(self):
         if not self.name:
-            raise CodaError("part name must be non-empty")
+            raise InvalidOptions("part name must be non-empty")
         if self.role not in PART_ROLES:
-            raise CodaError(
-                f"part {self.name!r}: role {self.role!r} not in {PART_ROLES}"
-            )
+            raise InvalidOptions(f"part {self.name!r}: role {self.role!r} not in {PART_ROLES}")
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,8 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
     parts = []
     factors = []
     for index, name in enumerate(part_names):
+        if not name:
+            raise ParseError(line=1, column=index + 4, token="", reason="empty part name")
         schema_unit, schema_role = DEFAULT_PART_SCHEMA.get(name, ("unitless", None))
         canonical, factor = config.resolve_unit(config.unit_map.get(name, schema_unit))
         role = schema_role or _ROLE_FOR_UNIT.get(canonical, "financial")
@@ -379,9 +381,11 @@ def write_outputs(
     """Write each output to ``directory/name``, all or none; return the paths.
 
     Every output goes to a temporary file in the directory first, one at a
-    time, encoded in slices of ``_SLICE`` characters; only when all are
-    written, and no name is taken by a directory (which a rename cannot
-    replace), are they renamed over their names, in order. With
+    time, encoded in slices of ``_SLICE`` characters; each is created
+    exclusively as the first free name of ``.name.tmp``, ``.name.1.tmp``...,
+    so two writers never share one and a crashed run's is passed over. Only
+    when all are written, and no name is taken by a directory (which a
+    rename cannot replace), are they renamed over their names, in order. With
     ``manifest`` the outputs go in name order, followed by ``manifest.json``,
     which lists each one's name, sha256 and size in bytes, hashed from the
     slices as they are written; the name ``manifest.json`` among the outputs
@@ -417,11 +421,15 @@ def _write(
     staged: list[tuple[str, str]] = []
 
     def stage(name: str, content: str | bytes, digest=None) -> int:
-        """Write content to name's temporary file; return its size in bytes."""
-        temp = os.path.join(directory, f".{name}.tmp")
+        """Write content to a new temporary file; return its size in bytes."""
+        for k in range(1 << 31):
+            temp = os.path.join(directory, f".{name}.{k}.tmp" if k else f".{name}.tmp")
+            with contextlib.suppress(FileExistsError):
+                handle = open(temp, "xb")
+                break
         staged.append((temp, os.path.join(directory, name)))
         size = 0
-        with open(temp, "wb") as handle:
+        with handle:
             for piece in _encoded(content):
                 handle.write(piece)
                 if digest is not None:

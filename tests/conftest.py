@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import os
 import signal
+from pathlib import Path
 
 #: OPENBLAS_NUM_THREADS as the run started, before an import of
 #: coda_atlas.cli sets it for the processes this one starts
@@ -61,6 +63,15 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def perfbench_table_csv(n: int, D: int, seed: int) -> str:
+    """The benchmark's seeded synthetic table (perfbench/inputs.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.table_csv(n, D, seed)
 
 
 def fail_nth_open(monkeypatch, module, n: int) -> None:

@@ -1,7 +1,6 @@
 """Biplot engine: SVD against an independent eigensolver, projections, rankings."""
 
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -40,7 +39,7 @@ from coda_atlas.errors import (
     TooFewRows,
 )
 
-from conftest import make_table, random_table
+from conftest import make_table, perfbench_table_csv, random_table
 from oracles import (
     brute_force_ranking,
     lapack_biplot,
@@ -59,15 +58,6 @@ FIXTURE_ROWS = [
 
 def fixture_clr():
     return clr_matrix(make_table(FIXTURE_ROWS))
-
-
-def perfbench_table_csv(n: int, D: int, seed: int) -> str:
-    """The benchmark's seeded synthetic table (perfbench/inputs.py)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.table_csv(n, D, seed)
 
 
 def log_matrices(max_n: int, max_D: int):

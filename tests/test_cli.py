@@ -23,7 +23,7 @@ from coda_atlas import IngestConfig, RatioDefinition, synthetic_csv
 from coda_atlas import ingest
 from coda_atlas.cli import main
 
-from conftest import fail_nth_open
+from conftest import fail_nth_open, perfbench_table_csv
 from oracles import brute_force_ranking, csv_line
 
 RANK_HEADER = "id,label,sector_code,net_revenue,total_assets,total_liabilities"
@@ -61,10 +61,6 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate", "x.csv"]) == 2
-        capsys.readouterr()
-
-    def test_missing_required_flag_is_usage_error(self, table_csv, capsys):
-        assert main(["rank", table_csv]) == 2
         capsys.readouterr()
 
     def test_domain_error_exits_one_with_record(self, table_csv, tmp_path, capsys):
@@ -154,6 +150,30 @@ class TestRank:
         lines = (out_dir / "rankings_solvency.csv").read_text().strip().split("\n")
         assert [int(line.split(",")[3]) for line in lines[1:]] == [1, 2, 3, 4, 5, 6]
 
+    def test_without_ratio_writes_the_pipeline_rankings(self, table_csv, tmp_path, capsys):
+        assert main(["pipeline", table_csv, "-o", str(tmp_path / "pipeline")]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "reports"
+        assert main(["rank", table_csv, "-o", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        names = [f"rankings_{r.name}.csv" for r in IngestConfig().ratio_catalog]
+        assert captured.out == "".join(f"{out_dir / name}\n" for name in names)
+        assert captured.err == ""
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(names)
+        for name in names:
+            assert (out_dir / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes()
+
+    def test_without_ratio_writes_nothing_when_no_ratio_resolves(self, tmp_path, capsys):
+        path = tmp_path / "parts.csv"
+        path.write_text("id,label,sector_code,a,b,c\ne1,x,s,1,2,3\ne2,y,s,2,3,5\ne3,z,s,4,1,1\n")
+        out_dir = tmp_path / "reports"
+        assert main(["rank", str(path), "-o", str(out_dir)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert not out_dir.exists()
+        assert main(["pipeline", str(path), "-o", str(tmp_path / "pipeline")]) == 0
+        capsys.readouterr()
+        assert not list((tmp_path / "pipeline").glob("rankings_*"))
+
 
 class TestBiplot:
     def test_model_json_carries_flags(self, table_csv, tmp_path, capsys):
@@ -215,7 +235,9 @@ class TestCluster:
             ["cluster", table_csv, "--clusters", "2", "--threshold", "1.0"]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("InvalidOptions:")
+        assert capsys.readouterr() == (
+            "", "InfeasibleCut:give either a cluster count or a threshold, not both\n"
+        )
 
     def test_linkage_choices_enforced(self, table_csv, capsys):
         assert main(["cluster", table_csv, "--linkage", "ward"]) == 2
@@ -231,6 +253,7 @@ class TestBadNumericFlags:
             ("cluster --threshold -1", "InfeasibleCut"),
             ("cluster --clusters 0", "InfeasibleCut"),
             ("cluster --clusters 99", "InfeasibleCut"),
+            ("cluster --clusters 3 --threshold 1", "InfeasibleCut"),
             ("biplot --alpha nan", "InvalidOptions"),
             ("biplot --alpha inf", "InvalidOptions"),
             ("biplot --alpha 2", "InvalidOptions"),
@@ -266,6 +289,17 @@ class TestRender:
         assert root.get("width") == "500"
         links = [el for el in root.iter() if el.get("class") == "link"]
         assert len(links) == 2
+
+    def test_empty_links_draw_no_link(self, table_csv, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        assert main(["render", table_csv, "--links", "", "-o", str(out_dir)]) == 0
+        capsys.readouterr()
+        root = ET.fromstring((out_dir / "biplot.svg").read_text())
+        assert not [el for el in root.iter() if el.get("class") == "link"]
+        assert main(["render", table_csv, "-o", str(tmp_path / "all")]) == 0
+        capsys.readouterr()
+        root = ET.fromstring((tmp_path / "all" / "biplot.svg").read_text())
+        assert len([el for el in root.iter() if el.get("class") == "link"]) == 5
 
     def test_unknown_link_exits_one(self, table_csv, tmp_path, capsys):
         code = main(["render", table_csv, "--links", "wombat", "-o", str(tmp_path)])
@@ -534,13 +568,19 @@ class TestPipeline:
         assert len(printed) == len(names) + 1
 
 
-    @pytest.mark.parametrize("seed", [None, 23])
-    def test_every_subcommand_writes_the_pipeline_bytes(self, seed, tmp_path, capsys):
-        table = tmp_path / "fixture.csv"
-        table.write_text(synthetic_csv() if seed is None else synthetic_csv(seed=seed))
+    # the fixture at its default seed and at seed 23, and the benchmark's 400x32 table
+    @pytest.mark.parametrize(
+        "table_text",
+        [synthetic_csv, lambda: synthetic_csv(seed=23), lambda: perfbench_table_csv(400, 32, 5)],
+        ids=["None", "23", "perfbench_400x32"],
+    )
+    def test_every_subcommand_writes_the_pipeline_bytes(self, table_text, tmp_path, capsys):
+        table = tmp_path / "table_in.csv"
+        table.write_text(table_text())
         assert main(["pipeline", str(table), "-o", str(tmp_path / "pipeline")]) == 0
+        bare = ["describe", "diagnose", "clr", "biplot", "rank", "cluster", "render"]
         ratios = [r.name for r in IngestConfig().ratio_catalog]
-        runs = [["describe"], ["diagnose"], ["clr"], ["biplot"], ["cluster"]]
+        runs = [[subcommand] for subcommand in bare]
         runs += [["rank", "--ratio", name] for name in ratios]
         runs.append(["render", "--links", ",".join(ratios)])
         written = set()
@@ -549,9 +589,11 @@ class TestPipeline:
             assert main([subcommand, str(table), *flags, "-o", str(out_dir)]) == 0
             for path in out_dir.iterdir():
                 assert path.read_bytes() == (tmp_path / "pipeline" / path.name).read_bytes()
-                written.add(path.name)
+                if not flags:
+                    written.add(path.name)
         capsys.readouterr()
         manifest = json.loads((tmp_path / "pipeline" / "manifest.json").read_text())
+        # the runs without flags alone write every file but the parsed table
         assert written == {entry["name"] for entry in manifest["files"]} - {"table.csv"}
 
 

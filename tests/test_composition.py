@@ -196,12 +196,16 @@ class TestValidateTable:
         assert not np.shares_memory(table.values, raw)
 
     def test_part_role_must_be_known(self):
-        with pytest.raises(CodaError):
+        with pytest.raises(InvalidOptions) as err:
             Part(index=0, name="x", unit="t", role="mystery")
+        assert err.value.record() == (
+            "InvalidOptions:part 'x': role 'mystery' not in ('financial', 'environmental', 'social')"
+        )
 
     def test_part_name_must_be_nonempty(self):
-        with pytest.raises(CodaError):
+        with pytest.raises(InvalidOptions) as err:
             Part(index=0, name="", unit="t", role="social")
+        assert err.value.record() == "InvalidOptions:part name must be non-empty"
 
 
 class TestGeometricMean:

@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -412,6 +414,14 @@ class TestParseTable:
             parse_table("id,label,sector,a,b\ne1,One,1011,1,2\n")
         assert (err.value.line, err.value.column) == (1, 3)
 
+    @pytest.mark.parametrize("cell", ["", " ", '" "'])
+    @pytest.mark.parametrize("quoted_id", [False, True], ids=["block_reader", "cell_reader"])
+    def test_empty_part_name_is_a_parse_error(self, cell, quoted_id):
+        row = '"e1",x,s,1,2,3' if quoted_id else "e1,x,s,1,2,3"
+        with pytest.raises(ParseError) as err:
+            parse_table(f"id,label,sector_code,a,{cell},c\n{row}\ne2,y,s,2,3,4\n")
+        assert err.value.record() == "ParseError:line=1,column=5,token='',reason=empty part name"
+
     def test_csv_reader_error_is_one_parse_error(self):
         text = "id,label,sector_code,a,b\ncr\rid,x,s,1,2\n"
         with pytest.raises(csv.Error) as expected:
@@ -759,6 +769,119 @@ class TestReports:
             write_reports(new, str(out))
         assert err.value.record().startswith(f"IoFailure:cannot write reports to {str(out)!r}: ")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_two_writers_never_share_a_temporary_file(self, tmp_path, monkeypatch):
+        # A has staged a.csv and is about to stage the manifest when B starts
+        # to write a.csv into the same directory; B pauses after its first
+        # slice until A has returned
+        out = str(tmp_path / "reports")
+        a_staged, b_wrote, a_returned = (threading.Event() for _ in range(3))
+        results = {}
+
+        class PausingFile:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data)
+                self.handle.flush()
+                if not b_wrote.is_set():
+                    b_wrote.set()
+                    a_returned.wait(10)
+
+        def interleaving_open(path, *args, **kwargs):
+            writer = threading.current_thread().name
+            if writer == "A" and os.path.basename(path).startswith(".manifest.json"):
+                a_staged.set()
+                b_wrote.wait(10)
+            handle = open(path, *args, **kwargs)
+            return PausingFile(handle) if writer == "B" else handle
+
+        def writer_a():
+            try:
+                manifest = write_reports({"a.csv": "A" * 3_000_000}, out)
+                on_disk = {name: (Path(out) / name).read_bytes() for name in os.listdir(out)}
+                results["A"] = (manifest, on_disk)
+            except Exception as exc:
+                results["A"] = exc
+            finally:
+                a_returned.set()
+
+        def writer_b():
+            a_staged.wait(10)
+            try:
+                results["B"] = write_outputs({"a.csv": "B" * 3_000_000}, out)
+            except Exception as exc:
+                results["B"] = exc
+
+        monkeypatch.setattr(ingest, "open", interleaving_open, raising=False)
+        threads = [
+            threading.Thread(target=writer_a, name="A"),
+            threading.Thread(target=writer_b, name="B"),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert b_wrote.is_set()
+        # at A's return every file it listed is the one it wrote
+        assert not isinstance(results["A"], Exception), results["A"]
+        manifest, on_disk = results["A"]
+        for entry in manifest["files"]:
+            blob = on_disk[entry["name"]]
+            assert entry["bytes"] == len(blob)
+            assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+        assert results["B"] == [os.path.join(out, "a.csv")]
+        assert sorted(os.listdir(out)) == ["a.csv", "manifest.json"]
+        assert (Path(out) / "a.csv").read_text() == "B" * 3_000_000
+
+    def test_concurrent_writers_each_publish_whole_files(self, tmp_path):
+        out = str(tmp_path / "reports")
+        names = ("a.csv", "b.csv", "c.csv")
+        written, failures = set(), []
+
+        def writer(k):
+            try:
+                for round_ in range(20):
+                    outputs = {name: f"{name} {k} {round_}\n" * 500 for name in names}
+                    write_outputs(outputs, out)
+                    written.update(outputs.values())
+            except Exception as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert sorted(os.listdir(out)) == list(names)
+        for name in names:
+            assert (Path(out) / name).read_text() in written
+
+    def test_a_temporary_file_left_by_a_crashed_run_is_passed_over(self, tmp_path):
+        out = tmp_path / "reports"
+        out.mkdir()
+        (out / ".a.csv.tmp").write_text("crashed")
+        (out / ".a.csv.1.tmp").mkdir()
+        manifest = write_reports({"a.csv": "new a\n"}, str(out))
+        assert (out / "a.csv").read_text() == "new a\n"
+        assert manifest["files"][0]["bytes"] == len("new a\n")
+        assert (out / ".a.csv.tmp").read_text() == "crashed"
+        assert sorted(os.listdir(out)) == [".a.csv.1.tmp", ".a.csv.tmp", "a.csv", "manifest.json"]
 
     def test_outputs_are_written_in_order_and_replace_old_files(self, tmp_path):
         (tmp_path / "b.txt").write_text("stale")
