@@ -35,6 +35,14 @@ EU_NUMBER = re.compile(
 #: match each line once, atomically, so a failing column costs one pass too
 _EU_COLUMN = re.compile(rf"(?:(?=({EU_NUMBER.pattern}\n))\1)*{EU_NUMBER.pattern}")
 
+#: whitespace, which parse_rows strips from around a cell, but not the
+#: newline that joins a column's cells
+_BLANK = r"[^\S\n]"
+
+#: _EU_COLUMN with blanks allowed around each cell (compiled on first use)
+_EU_BLANK_CELL = rf"{_BLANK}*{EU_NUMBER.pattern}{_BLANK}*"
+_EU_BLANK_COLUMN = rf"(?:(?=({_EU_BLANK_CELL}\n))\1)*{_EU_BLANK_CELL}"
+
 #: what float() accepts but the point-decimal grammar does not, besides
 #: non-ASCII text: "_" digit separators and inf/infinity/nan (every spelling
 #: has an n), and the decimal comma
@@ -159,8 +167,14 @@ def parse_columns(cells: list[str], widths: list[int], locale: str):
                 return None
         else:
             # a cell holding a newline would shift the lines against the rows
-            if joined.count("\n") != n - 1 or not _EU_COLUMN.fullmatch(joined):
+            if joined.count("\n") != n - 1:
                 return None
+            if not _EU_COLUMN.fullmatch(joined):
+                if not re.fullmatch(_EU_BLANK_COLUMN, joined):
+                    return None
+                # blanks pass only around a cell: dropping every one strips
+                # each cell as parse_rows does
+                joined = re.sub(rf"{_BLANK}+", "", joined)
             column = joined.replace(".", "").replace(",", ".").split("\n")
         try:
             values[:, k] = np.array(column, dtype=float)

@@ -183,11 +183,9 @@ def _render(run: _Analysis) -> dict[str, str]:
 def _pipeline(run: _Analysis) -> dict[str, str]:
     outputs = {}
     # model first: a failed fit is reported before any report's own error.
-    # table.csv after it: under an explicit OPENBLAS_NUM_THREADS above 1, a
-    # forked fill_rows stops OpenBLAS's threads, and their restart at the
-    # fit's first QR can land beside the main thread.
-    # The writer sorts the names when it writes the manifest, so the order
-    # changes no byte.
+    # Every report is formatted in this process (fill_rows forks no child,
+    # so OpenBLAS's threads run as the fit left them), and the writer sorts
+    # the names when it writes the manifest, so the order changes no byte.
     for build in (_biplot, _describe, _diagnose, _clr, _rank, _cluster, _render):
         outputs.update(build(run))
     outputs["table.csv"] = serialize_table(run.table)

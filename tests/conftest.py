@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import importlib.util
-import os
 import signal
 from pathlib import Path
-
-#: OPENBLAS_NUM_THREADS as the run started, before an import of
-#: coda_atlas.cli sets it for the processes this one starts
-OPENBLAS_THREADS_AT_START = os.environ.get("OPENBLAS_NUM_THREADS")
 
 import numpy as np
 import pytest

@@ -33,13 +33,16 @@ These deliberately avoid the library calls they are checking:
   before it visited only the rows that hold a zero: one pass over every
   row. The production function must give the same values bit for bit, or
   the same error record.
+* ``per_cell_fill_rows`` is ``fill_rows`` as ``%`` does it, one row and
+  one Python object per cell at a time: the kernel that writes digits with
+  numpy must give its text exactly.
 * ``per_cell_serialize_table``, ``per_cell_clr_csv``,
   ``per_cell_ranking_csv``, ``per_cell_describe_csv``,
-  ``per_cell_assignment_csv``, ``per_cell_dumps_json`` and
-  ``per_element_svg`` are the report writers as they were before the
-  whole-array formatter: one Python call per number. The CSV ones write
-  every line through ``csv.writer``. The production writers must
-  reproduce their bytes exactly, errors included.
+  ``per_cell_assignment_csv``, ``per_cell_dumps_json``,
+  ``per_cell_model_json`` and ``per_element_svg`` are the report writers
+  as they were before the whole-array formatter: one Python call per
+  number. The CSV ones write every line through ``csv.writer``. The
+  production writers must reproduce their bytes exactly, errors included.
 """
 
 from __future__ import annotations
@@ -428,6 +431,19 @@ def csv_line(fields) -> str:
     return _csv_writerow(fields)[:-2] + "\n"
 
 
+def per_cell_fill_rows(template: str, *columns) -> str:
+    """``template % row`` one row at a time, each cell a Python object.
+
+    A column is a 1-D sequence (one field) or a 2-D array (a field per
+    column), as fill_rows takes them.
+    """
+    fields = []
+    for column in columns:
+        column = np.asarray(column, dtype=object)
+        fields += [column] if column.ndim == 1 else list(column.T)
+    return "".join(template % tuple(row) for row in zip(*(f.tolist() for f in fields)))
+
+
 def per_cell_serialize_table(table) -> str:
     """Table CSV with every row, numbers included, through csv.writer."""
     lines = [csv_line(["id", "label", "sector_code"] + list(table.part_names))]
@@ -531,6 +547,26 @@ def per_cell_dumps_json(obj, indent: int = 2) -> str:
     _emit(obj, indent, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def model_document(model) -> dict:
+    """model.json as a plain dict, one Python float per number."""
+    return {
+        "alpha": model.alpha,
+        "k": model.k,
+        "singular_values": [float(s) for s in model.singular_values],
+        "explained": [float(e) for e in model.explained],
+        "column_means": [float(c) for c in model.column_means],
+        "points": [{"id": eid, "coords": [float(x) for x in model.points[r]]}
+                   for r, eid in enumerate(model.entity_ids)],
+        "rays": [{"part": name, "coords": [float(x) for x in model.rays[d]]}
+                 for d, name in enumerate(model.part_names)],
+    }
+
+
+def per_cell_model_json(model) -> str:
+    """model.json emitted one value at a time."""
+    return per_cell_dumps_json(model_document(model))
 
 
 def _fmt6(x: float) -> str:

@@ -701,17 +701,18 @@ CLR_MODULES = {
     "coda_atlas", "coda_atlas._cells", "coda_atlas._fmt", "coda_atlas.cli",
     "coda_atlas.composition", "coda_atlas.errors", "coda_atlas.ingest",
 }
-#: the stage modules beyond those that each subcommand loads
+#: the modules beyond those that each subcommand loads: its stages, and
+#: fill_rows' kernels (_fill) where it writes a table of numbers
 STAGE_MODULES = {
     "validate": (),
-    "describe": ("stats",),
+    "describe": ("_fill", "stats"),
     "diagnose": ("stats",),
-    "clr": (),
-    "biplot": ("biplot",),
-    "rank": ("biplot",),
-    "cluster": ("cluster",),
-    "render": ("biplot", "render"),
-    "pipeline": ("biplot", "cluster", "render", "stats"),
+    "clr": ("_fill",),
+    "biplot": ("_fill", "biplot"),
+    "rank": ("_fill", "biplot"),
+    "cluster": ("_fill", "cluster"),
+    "render": ("_fill", "biplot", "render"),
+    "pipeline": ("_fill", "biplot", "cluster", "render", "stats"),
 }
 
 

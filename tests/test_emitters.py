@@ -7,6 +7,10 @@ for a non-finite number.
 import dataclasses
 import html
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from unittest.mock import patch
 
@@ -31,9 +35,9 @@ from coda_atlas import (
     synthetic_table,
     validate_table,
 )
-from coda_atlas import _fmt
+from coda_atlas import _fill, _fmt
 from coda_atlas._fmt import (
-    check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_rows, json_rows,
+    check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_float, fmt_rows, json_rows,
 )
 from coda_atlas.biplot import Link, RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import ClusterAssignment, assignment_csv, profiles_json
@@ -50,6 +54,8 @@ from oracles import (
     per_cell_clr_csv,
     per_cell_describe_csv,
     per_cell_dumps_json,
+    per_cell_fill_rows,
+    per_cell_model_json,
     per_cell_ranking_csv,
     per_cell_serialize_table,
     per_cluster_profiles_json,
@@ -86,6 +92,281 @@ def test_percent_g_equals_format_on_random_bit_patterns():
     values = bits.view(np.float64)
     values = values[np.isfinite(values)].tolist() + list(SPECIAL)
     assert [x for x in values if "%.17g" % x != format(x, ".17g")] == []
+    # the same values through the kernel, in rows of 7
+    rows = _rows_of(values, 7)
+    ids = [f"r{r}" for r in range(len(rows))]
+    expected = "".join(
+        ",".join([eid, *(format(x, ".17g") for x in row)]) + "\n"
+        for eid, row in zip(ids, rows.tolist())
+    )
+    assert fmt_rows(ids, rows) == expected
+
+
+def _rows_of(values, k):
+    """The values as rows of k, the last row padded with 1.0."""
+    values = np.asarray(values)
+    return np.concatenate([values, np.ones(-len(values) % k, values.dtype)]).reshape(-1, k)
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+
+
+#: edge cells for the digit kernels, signed both ways
+KERNEL_EDGES = {
+    "zeros, subnormals and non-finite": [0.0, 5e-324, 2.2250738585072014e-308, 1e-310,
+                                         np.inf, np.nan, 1.7976931348623157e308],
+    "ends of the fixed range": _neighbours([1e-4, 1e17]),
+    "powers of ten": _neighbours(
+        [10.0**k for k in range(-5, 18)] + [float(f"1e{k}") for k in range(-5, 18)]
+    ),
+    "17-digit ties": [1e15 + 0.25, 1e15 + 0.75, 1e15 + 0.5, 1e15 + 1.25, 9.0071992547409915e15,
+                      1e16 - 2, 1e16 + 2, 1e17 - 16, 99999999999999992.0],
+    "6-decimal ties": [0.0078125, 0.0000005, 0.0000015, 0.0000025, 2.5e-6, 1.0000005,
+                       99999999.9999995, *_neighbours([1e8]), 3 * 2.0**-21, 5 * 2.0**-21],
+}
+
+
+class TestKernels:
+    """fill_rows' numpy kernels against % one cell at a time."""
+
+    def test_percent_g_in_the_fixed_range(self):
+        rng = np.random.default_rng(7)
+        mantissas = rng.uniform(1.0, 10.0, 140_000) * rng.choice([-1.0, 1.0], 140_000)
+        values = mantissas * 10.0 ** rng.integers(-5, 18, 140_000)
+        # few significant digits: trailing zeros, and the point cut early
+        significands = rng.integers(-10**6, 10**6, 140_000).tolist()
+        exponents = rng.integers(-10, 12, 140_000).tolist()
+        rounded = np.array([float(f"{m}e{k}") for m, k in zip(significands, exponents)])
+        template = "%.17g" + ",%.17g" * 6 + "\n"
+        for rows in (_rows_of(values, 7), _rows_of(rounded, 7)):
+            assert fill_rows(template, rows) == per_cell_fill_rows(template, rows)
+
+    def test_percent_6f(self):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(-1.0, 1.0, 70_000) * 10.0 ** rng.integers(-9, 10, 70_000)
+        ties = np.arange(-2**14, 2**14) * 2.0**-21  # exact 7th-decimal ties among them
+        template = "<%.6f %.6f %.6f %.6f %.6f %.6f %.6f/>\n"
+        for rows in (_rows_of(values, 7), _rows_of(ties, 7), _rows_of(ties * 1024 + 0.5e-6, 7)):
+            assert fill_rows(template, rows) == per_cell_fill_rows(template, rows)
+
+    def test_percent_d_and_s_of_integers(self):
+        rng = np.random.default_rng(9)
+        wide = rng.integers(-2**63, 2**63 - 1, 20_000, dtype=np.int64, endpoint=True)
+        wide[:5] = (0, -1, -2**63, 2**63 - 1, 10**18)
+        small = rng.integers(-20_000, 20_000, 20_000)
+        unsigned = np.array([0, 2**64 - 1, 10**19, 9999, 10000], dtype=np.uint64)
+        for template, columns in (
+            ("%d,%s\n", (wide, wide)),
+            ("%d|%s|%d\n", (small, small, small.astype(np.int16))),
+            ("%d %s\n", (unsigned, unsigned)),
+            ("%d %s\n", (list(range(-50, 50)), [2**70 + r for r in range(100)])),
+        ):
+            assert fill_rows(template, *columns) == per_cell_fill_rows(template, *columns)
+
+    def test_percent_s_of_text(self):
+        texts = ["", "e1", "é€", "日本", "a\ud800b", "\U0001f600", "%s%%d", '"q,1"', "x" * 300]
+        column = [texts[r % len(texts)] + str(r) * (r % 3) for r in range(2000)]
+        other = np.array(column[::-1], dtype=object)
+        template = "[%s|%s] %d\n"
+        got = fill_rows(template, column, other, np.arange(2000))
+        assert got == per_cell_fill_rows(template, column, other, np.arange(2000))
+
+    def test_other_conversions_and_cells_go_through_percent(self):
+        rng = np.random.default_rng(10)
+        floats, flags = rng.standard_normal(300), rng.standard_normal(300) > 0
+        columns = (floats, floats, flags, flags, np.float32(floats), ["a", 1, 2.5] * 100)
+        template = "%.3f %s %s %d %.17g %s %%\n"
+        assert fill_rows(template, *columns) == per_cell_fill_rows(template, *columns)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_EDGES))
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_edges(self, case, block):
+        values = np.asarray(KERNEL_EDGES[case], dtype=float)
+        rows = _rows_of(np.concatenate([values, -values]), 2)
+        template = "%.17g;%.6f,%.17g|%.6f\n"
+        with patch.object(_fmt, "_BLOCK_ROWS", block):
+            assert fill_rows(template, rows, rows) == per_cell_fill_rows(template, rows, rows)
+
+    def test_block_boundaries_of_a_skewed_text_column(self):
+        # one wide text, then short ones: blocks are cut by bytes, not rows
+        texts = ["x" * 100_000] + [f"e{r}" for r in range(3000)] + ["y" * 50_000]
+        values = np.random.default_rng(11).standard_normal((len(texts), 3))
+        template = "%s,%.17g,%.17g,%.17g,%d\n"
+        with patch.object(_fmt, "_BLOCK_BYTES", 1 << 14):
+            got = fill_rows(template, texts, values, np.arange(len(texts)))
+        assert got == per_cell_fill_rows(template, texts, values, np.arange(len(texts)))
+
+    @pytest.mark.parametrize(
+        "template, columns, error",
+        [
+            ("%s,%d\n", (["a", "b", "c"], [1, "x", "y"]),
+             "%d format: a real number is required, not str"),
+            ("%d,%d\n", ([1, 2], [3.5, None]),
+             "%d format: a real number is required, not NoneType"),
+            ("%d %d\n", ([1, 2],), "not enough arguments for format string"),
+            ("%d\n", ([1, 2], [3, 4]), "not all arguments converted during string formatting"),
+            ("%(a)s\n", ([1],), "format requires a mapping"),
+            ("%d %y\n", ([1], [2]), "unsupported format character 'y' (0x79) at index 4"),
+        ],
+    )
+    def test_errors_are_the_per_cell_errors(self, template, columns, error):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            per_cell_fill_rows(template, *columns)
+        with pytest.raises(type(expected.value)) as got:
+            fill_rows(template, *columns)
+        assert str(got.value) == str(expected.value) == error
+
+    def test_no_kernel_module_or_lookup_table_before_the_first_fill(self):
+        script = (
+            "import sys, coda_atlas.cli, numpy as np\n"
+            "from coda_atlas import _fmt\n"
+            "print('coda_atlas._fill' in sys.modules)\n"
+            "_fmt.fill_rows('%.17g\\n', np.ones(3))\n"
+            "from coda_atlas import _fill\n"
+            "print(_fill._tables.cache_info().currsize)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                check=True)
+        assert result.stdout == "False\n1\n"
+
+    def test_a_wide_clr_csv_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        clr = _wide_clr(20_000, 32)
+        assert clr_csv(clr).count("\n") == 20_001
+        assert not hasattr(_fmt, "os") and not hasattr(_fill, "os")
+
+    def test_a_wide_clr_csv_holds_one_block_at_a_time(self):
+        # the text is held twice when its blocks are joined; at the parent
+        # commit, which formatted with % per cell, the peak was 2.01 times
+        # the text (25.0 MiB). Every block's buffer held at once would add
+        # ~40 MiB more.
+        clr = _wide_clr(20_000, 32)
+        clr_csv(clr)  # the lookup tables
+        tracemalloc.start()
+        try:
+            text = clr_csv(clr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text) + (4 << 20), (peak, len(text))
+
+
+def _wide_clr(n, D):
+    values = np.random.default_rng(5).standard_normal((n, D))
+    parts = tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial") for d in range(D))
+    return ClrMatrix(values=values, parts=parts, entity_ids=tuple(f"e{r:05d}" for r in range(n)))
+
+
+B = 1024  # rows a block in the TestBlocks cases
+
+
+def awkward_ids(n):
+    kinds = ("e%d", "é%d€", "日本%d", '"q,%d"', "%%s%d", "a\n%d")
+    return [kinds[r % len(kinds)] % r for r in range(n)]
+
+
+def awkward_values(n, k, seed=0):
+    values = np.random.default_rng(seed).standard_normal((n, k)) * 10.0 ** np.arange(-3, k - 3)
+    values[:4, 0] = (-0.0, 5e-324, 1.7976931348623157e308, 1e16)
+    return values
+
+
+@pytest.fixture
+def blocks_of_b():
+    with patch.object(_fmt, "_BLOCK_ROWS", B):
+        yield
+
+
+class TestBlocks:
+    """Whole reports of two blocks or more against the per-cell writers."""
+
+    @pytest.mark.parametrize("n", [2 * B, 2 * B + 37, 3 * B + 1000, 5 * B + 1])
+    def test_fmt_rows_with_non_ascii_and_quoted_ids(self, blocks_of_b, n):
+        clr = ClrMatrix(
+            values=awkward_values(n, 5),
+            parts=tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial")
+                        for d in range(5)),
+            entity_ids=tuple(awkward_ids(n)),
+        )
+        assert clr_csv(clr) == per_cell_clr_csv(clr)
+
+    def test_many_blocks_join_in_row_order(self):
+        ids, values = awkward_ids(43), awkward_values(43, 3)
+        with patch.object(_fmt, "_BLOCK_ROWS", 4):
+            text = fmt_rows(csv_fields(ids), values)
+        lines = (oracles.csv_line([i, *map(fmt_float, row)]) for i, row in zip(ids, values))
+        assert text == "".join(lines)
+
+    def test_integer_template_of_ranking_csv(self, blocks_of_b):
+        n = 2 * B + 5
+        rng = np.random.default_rng(1)
+        scores = rng.standard_normal(n)
+        result = RankingResult(
+            link=None, rows=np.argsort(-scores, kind="stable"), scores=scores,
+            exact_log_ratios=rng.standard_normal(n), fidelity=1.0, rank_agreement=1.0,
+            entity_ids=tuple(awkward_ids(n)),
+        )
+        text = ranking_csv(result)
+        assert text == per_cell_ranking_csv(result)
+        assert text.splitlines()[-1].endswith(",%d" % n)
+
+    @pytest.mark.parametrize("label_points", [True, False])
+    def test_fixed_point_templates_of_render(self, blocks_of_b, label_points):
+        n = 2 * B + 11
+        names = list(DEFAULT_PART_SCHEMA)
+        ids = [f"e{r}&<{r}>é" if r % 3 == 0 else f"e{r}" for r in range(n)]
+        values = np.exp(np.random.default_rng(2).normal(scale=2.0, size=(n, len(names))))
+        table = make_table(values, ids=ids, part_names=names)
+        model = fit_biplot(clr_matrix(table), k=2)
+        links = tuple(r.name for r in default_ratio_catalog())
+        options = RenderOptions(show_links=links, label_points=label_points)
+        assert render_biplot(model, table, options) == per_element_svg(model, table, options)
+
+    def test_json_templates_and_cluster_labels(self):
+        ids = [f'e{r}"é\\{r}' for r in range(60)]
+        values = np.exp(np.random.default_rng(3).normal(size=(60, 8)))
+        table = make_table(values, ids=ids, part_names=list(DEFAULT_PART_SCHEMA))
+        clr = clr_matrix(table)
+        assignment = hierarchical_cluster(distance_matrix(clr), n_clusters=59)
+        profiles = cluster_profile(table, assignment)
+        model = fit_biplot(clr, k=2)
+        with patch.object(_fmt, "_BLOCK_ROWS", 16):
+            assert model_to_json(model) == per_cell_model_json(model)
+            assert assignment_csv(assignment) == per_cell_assignment_csv(assignment)
+            assert dumps_json(profiles_json(profiles, table.part_names)) == per_cell_dumps_json(
+                per_cluster_profiles_json(profiles, table.part_names))
+
+    def test_non_finite_cell_raises_the_per_cell_error(self, blocks_of_b):
+        values = awkward_values(3 * B, 4)
+        values[-1, -1] = np.nan
+        clr = ClrMatrix(
+            values=values,
+            parts=tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial")
+                        for d in range(4)),
+            entity_ids=tuple(awkward_ids(3 * B)),
+        )
+        with pytest.raises(ValueError) as expected:
+            per_cell_clr_csv(clr)
+        with pytest.raises(ValueError) as got:
+            clr_csv(clr)
+        assert str(got.value) == str(expected.value) == "non-finite value in report output: nan"
+
+    @pytest.mark.parametrize("bad_row", [0, B, 3 * B - 1])
+    def test_unformattable_value_raises_the_serial_error(self, blocks_of_b, bad_row):
+        column = list(range(3 * B))
+        column[bad_row] = "x"
+        ids = csv_fields(awkward_ids(3 * B))
+        with pytest.raises(TypeError) as expected:
+            per_cell_fill_rows("%s,%d\n", ids, column)
+        with pytest.raises(TypeError) as got:
+            fill_rows("%s,%d\n", ids, column)
+        error = "%d format: a real number is required, not str"
+        assert str(got.value) == str(expected.value) == error
 
 
 class TestArrayFormatter:
@@ -340,7 +621,7 @@ class TestDumpsJson:
             ids = [f"e{r}" if r % 4 else f'e{r} "\u00e9\\\n' for r in range(n)]
             table = make_table(np.exp(rng.normal(size=(n, 7))), ids=ids)
             model = fit_biplot(clr_matrix(table), k=k)
-            assert model_to_json(model) == per_cell_dumps_json(self.model_document(model))
+            assert model_to_json(model) == per_cell_model_json(model)
 
     @pytest.mark.parametrize(
         "field, cell", [("points", (2, 1)), ("points", (0, 0)), ("column_means", (3,))]
@@ -352,24 +633,10 @@ class TestDumpsJson:
         changes.setdefault(field, getattr(model, field).copy())[cell] = np.nan
         model = dataclasses.replace(model, **changes)
         with pytest.raises(ValueError) as expected:
-            per_cell_dumps_json(self.model_document(model))
+            per_cell_model_json(model)
         with pytest.raises(ValueError) as got:
             model_to_json(model)
         assert str(got.value) == str(expected.value)
-
-    @staticmethod
-    def model_document(model):
-        return {
-            "alpha": model.alpha,
-            "k": model.k,
-            "singular_values": [float(s) for s in model.singular_values],
-            "explained": [float(e) for e in model.explained],
-            "column_means": [float(c) for c in model.column_means],
-            "points": [{"id": eid, "coords": [float(x) for x in model.points[r]]}
-                       for r, eid in enumerate(model.entity_ids)],
-            "rays": [{"part": name, "coords": [float(x) for x in model.rays[d]]}
-                     for d, name in enumerate(model.part_names)],
-        }
 
 
 #: record keys: the characters JSON escapes, "%" and non-ASCII among them

@@ -234,6 +234,35 @@ class TestColumnParse:
         table = parse_table(text, IngestConfig(locale=locale))
         assert table.values[7, 0] == value
 
+    @pytest.mark.parametrize("blank", [" ", "\t", "\xa0", "\x1c", "　", " \x0b\x0c"])
+    def test_eu_cells_with_blanks_around_them_parse_by_column(self, monkeypatch, blank):
+        # parse_rows strips every cell; the column path must take those cells
+        # too, with the per-cell parse's values bit for bit
+        cells = ["1.234,5", ",5", "7", "1,25e3", "2.000.000", "+3,"]
+        rows = [
+            f'e{r},Entity {r},101X,"{blank * (r % 2)}{cells[r % 6]}{blank * (r % 3 > 0)}",'
+            f'"{blank}{r + 1},5"'
+            for r in range(60)
+        ]
+        text = csv_doc(*rows)
+        config = IngestConfig(locale="eu")
+        expected = parse_outcome(per_cell_parse_table, text, config)
+        assert not isinstance(expected, str), expected
+
+        def refuse(*args):
+            raise AssertionError("parsed row by row")
+
+        monkeypatch.setattr(_cells, "parse_rows", refuse)
+        assert parse_outcome(parse_table, text, config) == expected
+
+    @pytest.mark.parametrize("cell", ['"1 ,5"', '"1. 234,5"', '"- 1,5"', '" "'])
+    def test_eu_blank_inside_a_cell_is_the_per_cell_error(self, cell):
+        text = csv_doc(*(f"e{r},Entity {r},101X,{cell if r == 7 else '1,5'},2" for r in range(20)))
+        config = IngestConfig(locale="eu")
+        expected = parse_outcome(per_cell_parse_table, text, config)
+        assert expected.startswith("ParseError:")
+        assert parse_outcome(parse_table, text, config) == expected
+
     @pytest.mark.parametrize("cell, value", [("1.5e3", 1.5e3), (" \x0b+2.", 2.0)])
     def test_unquoted_point_decimal_table_never_reads_cells(self, monkeypatch, cell, value):
         def refuse(*args):
