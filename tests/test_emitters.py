@@ -37,7 +37,7 @@ from coda_atlas import (
 )
 from coda_atlas import _fill, _fmt
 from coda_atlas._fmt import (
-    check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_float, fmt_rows, json_rows,
+    check_finite, csv_fields, csv_line, dumps_json, fill_rows, fmt_rows, json_rows,
 )
 from coda_atlas.biplot import Link, RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import ClusterAssignment, assignment_csv, profiles_json
@@ -260,113 +260,6 @@ def _wide_clr(n, D):
     values = np.random.default_rng(5).standard_normal((n, D))
     parts = tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial") for d in range(D))
     return ClrMatrix(values=values, parts=parts, entity_ids=tuple(f"e{r:05d}" for r in range(n)))
-
-
-B = 1024  # rows a block in the TestBlocks cases
-
-
-def awkward_ids(n):
-    kinds = ("e%d", "é%d€", "日本%d", '"q,%d"', "%%s%d", "a\n%d")
-    return [kinds[r % len(kinds)] % r for r in range(n)]
-
-
-def awkward_values(n, k, seed=0):
-    values = np.random.default_rng(seed).standard_normal((n, k)) * 10.0 ** np.arange(-3, k - 3)
-    values[:4, 0] = (-0.0, 5e-324, 1.7976931348623157e308, 1e16)
-    return values
-
-
-@pytest.fixture
-def blocks_of_b():
-    with patch.object(_fmt, "_BLOCK_ROWS", B):
-        yield
-
-
-class TestBlocks:
-    """Whole reports of two blocks or more against the per-cell writers."""
-
-    @pytest.mark.parametrize("n", [2 * B, 2 * B + 37, 3 * B + 1000, 5 * B + 1])
-    def test_fmt_rows_with_non_ascii_and_quoted_ids(self, blocks_of_b, n):
-        clr = ClrMatrix(
-            values=awkward_values(n, 5),
-            parts=tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial")
-                        for d in range(5)),
-            entity_ids=tuple(awkward_ids(n)),
-        )
-        assert clr_csv(clr) == per_cell_clr_csv(clr)
-
-    def test_many_blocks_join_in_row_order(self):
-        ids, values = awkward_ids(43), awkward_values(43, 3)
-        with patch.object(_fmt, "_BLOCK_ROWS", 4):
-            text = fmt_rows(csv_fields(ids), values)
-        lines = (oracles.csv_line([i, *map(fmt_float, row)]) for i, row in zip(ids, values))
-        assert text == "".join(lines)
-
-    def test_integer_template_of_ranking_csv(self, blocks_of_b):
-        n = 2 * B + 5
-        rng = np.random.default_rng(1)
-        scores = rng.standard_normal(n)
-        result = RankingResult(
-            link=None, rows=np.argsort(-scores, kind="stable"), scores=scores,
-            exact_log_ratios=rng.standard_normal(n), fidelity=1.0, rank_agreement=1.0,
-            entity_ids=tuple(awkward_ids(n)),
-        )
-        text = ranking_csv(result)
-        assert text == per_cell_ranking_csv(result)
-        assert text.splitlines()[-1].endswith(",%d" % n)
-
-    @pytest.mark.parametrize("label_points", [True, False])
-    def test_fixed_point_templates_of_render(self, blocks_of_b, label_points):
-        n = 2 * B + 11
-        names = list(DEFAULT_PART_SCHEMA)
-        ids = [f"e{r}&<{r}>é" if r % 3 == 0 else f"e{r}" for r in range(n)]
-        values = np.exp(np.random.default_rng(2).normal(scale=2.0, size=(n, len(names))))
-        table = make_table(values, ids=ids, part_names=names)
-        model = fit_biplot(clr_matrix(table), k=2)
-        links = tuple(r.name for r in default_ratio_catalog())
-        options = RenderOptions(show_links=links, label_points=label_points)
-        assert render_biplot(model, table, options) == per_element_svg(model, table, options)
-
-    def test_json_templates_and_cluster_labels(self):
-        ids = [f'e{r}"é\\{r}' for r in range(60)]
-        values = np.exp(np.random.default_rng(3).normal(size=(60, 8)))
-        table = make_table(values, ids=ids, part_names=list(DEFAULT_PART_SCHEMA))
-        clr = clr_matrix(table)
-        assignment = hierarchical_cluster(distance_matrix(clr), n_clusters=59)
-        profiles = cluster_profile(table, assignment)
-        model = fit_biplot(clr, k=2)
-        with patch.object(_fmt, "_BLOCK_ROWS", 16):
-            assert model_to_json(model) == per_cell_model_json(model)
-            assert assignment_csv(assignment) == per_cell_assignment_csv(assignment)
-            assert dumps_json(profiles_json(profiles, table.part_names)) == per_cell_dumps_json(
-                per_cluster_profiles_json(profiles, table.part_names))
-
-    def test_non_finite_cell_raises_the_per_cell_error(self, blocks_of_b):
-        values = awkward_values(3 * B, 4)
-        values[-1, -1] = np.nan
-        clr = ClrMatrix(
-            values=values,
-            parts=tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial")
-                        for d in range(4)),
-            entity_ids=tuple(awkward_ids(3 * B)),
-        )
-        with pytest.raises(ValueError) as expected:
-            per_cell_clr_csv(clr)
-        with pytest.raises(ValueError) as got:
-            clr_csv(clr)
-        assert str(got.value) == str(expected.value) == "non-finite value in report output: nan"
-
-    @pytest.mark.parametrize("bad_row", [0, B, 3 * B - 1])
-    def test_unformattable_value_raises_the_serial_error(self, blocks_of_b, bad_row):
-        column = list(range(3 * B))
-        column[bad_row] = "x"
-        ids = csv_fields(awkward_ids(3 * B))
-        with pytest.raises(TypeError) as expected:
-            per_cell_fill_rows("%s,%d\n", ids, column)
-        with pytest.raises(TypeError) as got:
-            fill_rows("%s,%d\n", ids, column)
-        error = "%d format: a real number is required, not str"
-        assert str(got.value) == str(expected.value) == error
 
 
 class TestArrayFormatter:

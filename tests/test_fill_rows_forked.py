@@ -1,15 +1,12 @@
-"""fill_rows on several CPUs: the same text as one CPU, and no child left behind.
+"""Whole reports of two blocks or more against the per-cell writers, and no fork.
 
-The forked path is forced by lowering ``_fmt._PARALLEL_FIELDS``; a test
-process with one allowed CPU is told it has two, so the path runs on any
-machine (the child's pinning then fails, and it runs unpinned).
+``fill_rows`` once formatted large tables in forked children; these cases
+were written for that path and keep its test names. The writer now fills a
+block of rows at a time in this process, so every case runs with ``os.fork``
+replaced by a function that fails the test.
 """
 
 import os
-import subprocess
-import sys
-import textwrap
-import threading
 import warnings
 from unittest.mock import patch
 
@@ -17,54 +14,50 @@ import numpy as np
 import pytest
 
 from coda_atlas import (
-    RenderOptions, clr_matrix, cluster_profile, distance_matrix, fit_biplot, hierarchical_cluster,
+    Part, RenderOptions, clr_matrix, cluster_profile, distance_matrix, fit_biplot,
+    hierarchical_cluster,
 )
-from coda_atlas import _fmt, biplot, cli
-from coda_atlas._fmt import csv_fields, dumps_json, fill_rows, fmt_rows
-from coda_atlas.fixture import synthetic_csv
+from coda_atlas import _fmt
+from coda_atlas._fmt import csv_fields, dumps_json, fill_rows, fmt_float, fmt_rows
 from coda_atlas.biplot import RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import assignment_csv, profiles_json
-from coda_atlas.ingest import DEFAULT_PART_SCHEMA, default_ratio_catalog
+from coda_atlas.composition import ClrMatrix
+from coda_atlas.ingest import DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog
 from coda_atlas.render import render_biplot
 
-from conftest import OPENBLAS_THREADS_AT_START, make_table
+from conftest import make_table
+import oracles
+from oracles import (
+    per_cell_assignment_csv,
+    per_cell_clr_csv,
+    per_cell_dumps_json,
+    per_cell_fill_rows,
+    per_cell_model_json,
+    per_cell_ranking_csv,
+    per_cluster_profiles_json,
+    per_element_svg,
+)
 
-B = _fmt._BLOCK_ROWS
-
-
-def serial(function, *args):
-    with patch.object(_fmt, "_PARALLEL_FIELDS", 1 << 62):
-        return function(*args)
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+B = 1024  # rows a block in these cases
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Force the forked path; the list collects the pid of every fork."""
-    pids = []
-    real_fork = os.fork
+    def no_fork():
+        raise AssertionError("forked")
 
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    monkeypatch.setattr(os, "fork", no_fork)
 
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(_fmt, "_PARALLEL_FIELDS", 2)
-    if len(os.sched_getaffinity(0)) < 2:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    yield pids
-    assert_no_child()
+
+@pytest.fixture
+def blocks_of_b(forks):
+    with patch.object(_fmt, "_BLOCK_ROWS", B):
+        yield
 
 
 def awkward_ids(n):
     kinds = ("e%d", "é%d€", "日本%d", '"q,%d"', "%%s%d", "a\n%d")
-    return csv_fields([kinds[r % len(kinds)] % r for r in range(n)])
+    return [kinds[r % len(kinds)] % r for r in range(n)]
 
 
 def awkward_values(n, k, seed=0):
@@ -73,21 +66,30 @@ def awkward_values(n, k, seed=0):
     return values
 
 
+def awkward_clr(values):
+    n, k = values.shape
+    return ClrMatrix(
+        values=values,
+        parts=tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial")
+                    for d in range(k)),
+        entity_ids=tuple(awkward_ids(n)),
+    )
+
+
 class TestSameText:
     @pytest.mark.parametrize("n", [2 * B, 2 * B + 37, 3 * B + 1000, 5 * B + 1])
-    def test_fmt_rows_with_non_ascii_and_quoted_ids(self, forks, n):
-        ids, values = awkward_ids(n), awkward_values(n, 5)
-        assert fmt_rows(ids, values) == serial(fmt_rows, ids, values)
-        assert len(forks) == 1
+    def test_fmt_rows_with_non_ascii_and_quoted_ids(self, blocks_of_b, n):
+        clr = awkward_clr(awkward_values(n, 5))
+        assert clr_csv(clr) == per_cell_clr_csv(clr)
 
-    def test_several_children_join_in_row_order(self, forks, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.setattr(_fmt, "_BLOCK_ROWS", 4)
+    def test_several_children_join_in_row_order(self, forks):
         ids, values = awkward_ids(43), awkward_values(43, 3)
-        assert fmt_rows(ids, values) == serial(fmt_rows, ids, values)
-        assert len(forks) == 3
+        with patch.object(_fmt, "_BLOCK_ROWS", 4):
+            text = fmt_rows(csv_fields(ids), values)
+        lines = (oracles.csv_line([i, *map(fmt_float, row)]) for i, row in zip(ids, values))
+        assert text == "".join(lines)
 
-    def test_integer_template_of_ranking_csv(self, forks):
+    def test_integer_template_of_ranking_csv(self, blocks_of_b):
         n = 2 * B + 5
         rng = np.random.default_rng(1)
         scores = rng.standard_normal(n)
@@ -97,12 +99,11 @@ class TestSameText:
             entity_ids=tuple(awkward_ids(n)),
         )
         text = ranking_csv(result)
-        assert text == serial(ranking_csv, result)
-        assert len(forks) == 1
+        assert text == per_cell_ranking_csv(result)
         assert text.splitlines()[-1].endswith(",%d" % n)
 
     @pytest.mark.parametrize("label_points", [True, False])
-    def test_fixed_point_templates_of_render(self, forks, label_points):
+    def test_fixed_point_templates_of_render(self, blocks_of_b, label_points):
         n = 2 * B + 11
         names = list(DEFAULT_PART_SCHEMA)
         ids = [f"e{r}&<{r}>é" if r % 3 == 0 else f"e{r}" for r in range(n)]
@@ -111,224 +112,53 @@ class TestSameText:
         model = fit_biplot(clr_matrix(table), k=2)
         links = tuple(r.name for r in default_ratio_catalog())
         options = RenderOptions(show_links=links, label_points=label_points)
-        assert render_biplot(model, table, options) == serial(render_biplot, model, table, options)
-        # one fill_rows of n rows per link (its ticks), the points, their labels
-        assert len(forks) == len(links) + 1 + label_points
+        assert render_biplot(model, table, options) == per_element_svg(model, table, options)
 
-    def test_json_templates_and_cluster_labels(self, forks, monkeypatch):
-        monkeypatch.setattr(_fmt, "_BLOCK_ROWS", 16)
+    def test_json_templates_and_cluster_labels(self, forks):
         ids = [f'e{r}"é\\{r}' for r in range(60)]
         values = np.exp(np.random.default_rng(3).normal(size=(60, 8)))
         table = make_table(values, ids=ids, part_names=list(DEFAULT_PART_SCHEMA))
         clr = clr_matrix(table)
         assignment = hierarchical_cluster(distance_matrix(clr), n_clusters=59)
         profiles = cluster_profile(table, assignment)
-        for write, args in (
-            (model_to_json, (fit_biplot(clr, k=2),)),
-            (assignment_csv, (assignment,)),
-            (lambda *a: dumps_json(profiles_json(*a)), (profiles, table.part_names)),
-        ):
-            assert write(*args) == serial(write, *args)
-        assert len(forks) == 3
+        model = fit_biplot(clr, k=2)
+        with patch.object(_fmt, "_BLOCK_ROWS", 16):
+            assert model_to_json(model) == per_cell_model_json(model)
+            assert assignment_csv(assignment) == per_cell_assignment_csv(assignment)
+            assert dumps_json(profiles_json(profiles, table.part_names)) == per_cell_dumps_json(
+                per_cluster_profiles_json(profiles, table.part_names))
 
-    def test_non_finite_cell_raises_before_any_fork(self, forks):
+    def test_non_finite_cell_raises_before_any_fork(self, blocks_of_b):
         values = awkward_values(3 * B, 4)
         values[-1, -1] = np.nan
+        clr = awkward_clr(values)
         with pytest.raises(ValueError) as expected:
-            serial(fmt_rows, awkward_ids(3 * B), values)
+            per_cell_clr_csv(clr)
         with pytest.raises(ValueError) as got:
-            fmt_rows(awkward_ids(3 * B), values)
+            clr_csv(clr)
         assert str(got.value) == str(expected.value) == "non-finite value in report output: nan"
-        assert forks == []
 
-
-    def test_fork_warns_nothing(self, forks):
-        # Python >= 3.12 warns on a fork while other OS threads (OpenBLAS's) run
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("no /proc/self/status to count threads")
-        if (os.cpu_count() or 1) < 2 or OPENBLAS_THREADS_AT_START == "1":
-            pytest.skip("OpenBLAS runs no second thread here")
-        # large enough to thread: an earlier fork stopped the pool, and a
-        # small call would leave it stopped
-        np.linalg.qr(np.random.default_rng(0).standard_normal((2000, 64)))
-        with open("/proc/self/status") as handle:
-            threads = [int(line.split()[1]) for line in handle if line.startswith("Threads:")]
-        # numpy loaded before coda_atlas.cli set OPENBLAS_NUM_THREADS (conftest
-        # imports it first); without a second thread this test checks nothing
-        assert threads[0] >= 2, "no OpenBLAS thread is live beside this one"
+    def test_fork_warns_nothing(self, blocks_of_b):
+        # the kernels take log10 of zero and multiply huge values; under an
+        # error filter a numpy RuntimeWarning would raise
+        n = 3 * B
+        floats = awkward_values(n, 1)[:, 0]
+        floats[4:12] = (0.0, np.inf, -np.inf, np.nan, 1e300, -1e-300, 1e17, 1e-5)
+        args = ("%s,%.17g,%.6f,%d\n", csv_fields(awkward_ids(n)), floats, floats, np.arange(n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fill_rows("%d\n", np.arange(3 * B)) == serial(fill_rows, "%d\n", np.arange(3 * B))
-        assert len(forks) == 1
-
-
-    def test_pipeline_fits_before_its_first_fork(self, forks, monkeypatch, tmp_path):
-        # a fork stops OpenBLAS's threads, whose restart at the fit's first QR
-        # can land beside the main thread: nothing is forked before the fit
-        (tmp_path / "fx.csv").write_text(synthetic_csv())
-        monkeypatch.setattr(_fmt, "_BLOCK_ROWS", 4)
-        calls = []
-        real_fit, real_fill_forked = biplot.fit_biplot, _fmt._fill_forked
-
-        def fit(*args, **kwargs):
-            calls.append("fit_biplot")
-            return real_fit(*args, **kwargs)
-
-        def fill_forked(*args):
-            calls.append("_fill_forked")
-            return real_fill_forked(*args)
-
-        monkeypatch.setattr(biplot, "fit_biplot", fit)
-        monkeypatch.setattr(_fmt, "_fill_forked", fill_forked)
-        assert cli.main(["pipeline", str(tmp_path / "fx.csv"), "--out", str(tmp_path)]) == 0
-        assert calls[0] == "fit_biplot" and "_fill_forked" in calls, calls
+            assert fill_rows(*args) == per_cell_fill_rows(*args)
 
 
 class TestFailures:
-    @staticmethod
-    def column_with(bad_row, n=3 * B):
-        column = list(range(n))
-        column[bad_row] = "x"
-        return column
-
     @pytest.mark.parametrize("bad_row", [0, B, 3 * B - 1])
-    def test_unformattable_value_raises_the_serial_error(self, forks, bad_row):
-        # row 0 lies in this process's share, the others in the child's
-        column = self.column_with(bad_row)
+    def test_unformattable_value_raises_the_serial_error(self, blocks_of_b, bad_row):
+        column = list(range(3 * B))
+        column[bad_row] = "x"
+        ids = csv_fields(awkward_ids(3 * B))
         with pytest.raises(TypeError) as expected:
-            serial(fill_rows, "%s,%d\n", awkward_ids(len(column)), column)
+            per_cell_fill_rows("%s,%d\n", ids, column)
         with pytest.raises(TypeError) as got:
-            fill_rows("%s,%d\n", awkward_ids(len(column)), column)
-        assert str(got.value) == str(expected.value) == "%d format: a real number is required, not str"
-        assert len(forks) == 1
-        assert_no_child()
-
-    def test_failed_fork_formats_the_share_here(self, forks, monkeypatch):
-        def no_fork():
-            raise BlockingIOError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert fill_rows("%d\n", np.arange(3 * B)) == serial(fill_rows, "%d\n", np.arange(3 * B))
-
-    def test_unflushed_stdout_and_atexit_run_once(self):
-        script = textwrap.dedent(
-            """
-            import atexit, os
-            import numpy as np
-            from coda_atlas import _fmt
-
-            _fmt._PARALLEL_FIELDS = 2
-            if len(os.sched_getaffinity(0)) < 2:
-                os.sched_getaffinity = lambda pid: {0, 1}
-            pids = []
-            real_fork = os.fork
-            def fork():
-                pid = real_fork()
-                if pid:
-                    pids.append(pid)
-                return pid
-            os.fork = fork
-            atexit.register(print, "atexit")
-            print("unflushed", end=" ")
-            text = _fmt.fill_rows("%d\\n", np.arange(3 * _fmt._BLOCK_ROWS))
-            print(len(pids), text == "".join("%d\\n" % i for i in range(3 * _fmt._BLOCK_ROWS)))
-            """
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
-        )
-        assert result.stdout == "unflushed 1 True\natexit\n"
-        assert result.stderr == ""
-
-
-    def test_children_reaped_elsewhere(self):
-        # with SIGCHLD ignored the kernel reaps each child itself, and
-        # waitpid finds none: the shares are formatted here instead
-        script = textwrap.dedent(
-            """
-            import os, signal
-            import numpy as np
-            from coda_atlas import _fmt
-
-            _fmt._PARALLEL_FIELDS = 2
-            if len(os.sched_getaffinity(0)) < 2:
-                os.sched_getaffinity = lambda pid: {0, 1}
-            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-            n = 3 * _fmt._BLOCK_ROWS
-            print(_fmt.fill_rows("%d\\n", np.arange(n)) == "".join("%d\\n" % i for i in range(n)))
-            column = list(range(n))
-            column[0] = "x"
-            try:
-                _fmt.fill_rows("%d\\n", column)
-            except TypeError as exc:
-                print(exc)
-            """
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
-        )
-        assert result.stdout == "True\n%d format: a real number is required, not str\n"
-        assert result.stderr == ""
-
-
-class TestSerialFallbacks:
-    def table(self):
-        return awkward_ids(3 * B), awkward_values(3 * B, 4)
-
-    def test_one_allowed_cpu(self, forks, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        ids, values = self.table()
-        assert fmt_rows(ids, values) == serial(fmt_rows, ids, values)
-        assert forks == []
-
-    def test_another_live_python_thread(self, forks):
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            ids, values = self.table()
-            assert fmt_rows(ids, values) == serial(fmt_rows, ids, values)
-        finally:
-            release.set()
-            thread.join()
-        assert forks == []
-
-    @pytest.mark.parametrize("missing", ["fork", "memfd_create"])
-    def test_platform_without(self, forks, monkeypatch, missing):
-        monkeypatch.delattr(os, missing)
-        ids, values = self.table()
-        assert fmt_rows(ids, values) == serial(fmt_rows, ids, values)
-        assert forks == []
-
-    def test_fewer_than_two_full_blocks(self, forks):
-        ids, values = awkward_ids(2 * B - 1), awkward_values(2 * B - 1, 40)
-        assert fmt_rows(ids, values) == serial(fmt_rows, ids, values)
-        assert forks == []
-
-    def test_threshold(self, forks, monkeypatch):
-        monkeypatch.setattr(_fmt, "_PARALLEL_FIELDS", 1 << 18)
-        below, at = np.arange((1 << 18) - 1), np.arange(1 << 18)
-        assert fill_rows("%d\n", below) == serial(fill_rows, "%d\n", below)
-        assert forks == []
-        assert fill_rows("%d\n", at) == serial(fill_rows, "%d\n", at)
-        assert len(forks) == 1
-
-
-class TestChildCpus:
-    def test_children_go_to_the_other_allowed_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-        monkeypatch.setattr(_fmt, "_current_cpu", lambda: 2)
-        assert _fmt._child_cpus() == [0, 5]
-
-    def test_unknown_cpu_of_this_process_pins_nothing(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-        monkeypatch.setattr(_fmt, "_current_cpu", lambda: None)
-        assert _fmt._child_cpus() == [None, None]
-
-    def test_no_sched_setaffinity_pins_nothing(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_setaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _fmt._child_cpus() == [None, None]
-
-    def test_current_cpu_is_an_allowed_one(self):
-        assert _fmt._current_cpu() in os.sched_getaffinity(0)
+            fill_rows("%s,%d\n", ids, column)
+        error = "%d format: a real number is required, not str"
+        assert str(got.value) == str(expected.value) == error
