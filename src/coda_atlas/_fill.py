@@ -5,13 +5,14 @@
 (without a bytecode cache, compiling this module takes ~3.6 ms and
 ``_fmt`` ~1.0 ms).
 
-It writes digits with numpy, a block of rows at a time, with no Python
-call per cell. Each cell of a block gets a fixed-width slot in one
-byte buffer, padded with the byte 0xFF, which UTF-8 never holds. One
-``bytes.translate`` pass deletes the padding, and each block is decoded to
-text on its own. A block's rows are chosen from its widest row, so its
-buffer stays under ``block_bytes`` (a row wider than that is a block
-alone). The conversions the package uses are written this way:
+It fills the typed columns of ``_fmt.fill_rows``' four conversions a
+block of rows at a time, with no Python call per cell. Each cell of a
+block gets a fixed-width slot in one byte buffer, padded with the byte
+0xFF, which UTF-8 never holds. One ``bytes.translate`` pass deletes the
+padding, and each block is decoded to text on its own. A block's rows are
+chosen from its widest row, so its buffer stays under ``block_bytes`` (a
+row wider than that is a block alone). The conversions are written this
+way:
 
 * ``%.17g`` for finite |x| in [1e-4, 1e17), the range ``g`` writes without
   an exponent. The exponent E comes from ``log10``. v = |x| * 10^(16-E)
@@ -26,16 +27,14 @@ alone). The conversions the package uses are written this way:
   ``0.000`` prefix and the point are laid around them (a 40-byte slot).
 * ``%.6f`` for |x| < 1e8: |x| * 10^6 by the same exact product, rounded
   half to even (a 24-byte slot).
-* ``%d``, and ``%s`` of an integer array: the integer's digits (24 bytes).
-* ``%s`` of text: each text's UTF-8 bytes, placed by offset in a slot as
-  wide as the block's widest.
+* ``%d``: the integer's digits (24 bytes).
+* ``%s``: each text's UTF-8 bytes, placed by offset in a slot as wide as
+  the block's widest.
 
-Every other cell (for ``%.17g``: zeros, subnormals, inf and nan, and the
-magnitudes ``g`` writes with an exponent; cells of another type or
-conversion) is formatted one at a time by ``%``, and its text is placed
-like any other. A template this parser does not read, a column count that
-does not match it, or a cell ``%`` refuses is handed to ``%`` itself, so
-the error is ``%``'s, for the first such cell in row order.
+The floats outside a kernel's range (zeros, subnormals, inf and nan, and
+the magnitudes ``g`` writes with an exponent for ``%.17g``; |x| >= 1e8,
+inf and nan for ``%.6f``) are formatted one at a time by ``%``, and their
+text is placed like any other.
 
 Measured at 20000 x 32 on a 2-vCPU x86 VM (Python 3.11, numpy 2.4; medians
 of 5 alternating processes): ``clr_csv`` takes 123 ms and
@@ -56,37 +55,21 @@ from numpy.lib.stride_tricks import as_strided
 _PAD = 0xFF
 
 #: one conversion of a fill_rows template, or a literal "%%"
-_SPEC = r"%(?:%|[-#0 +]*[0-9]*(?:\.[0-9]*)?[diouxXeEfFgGcrsa])"
+_SPEC = r"%(?:%|\.17g|\.6f|d|s)"
 
 #: the conversions the kernels write, with their slot widths in bytes
-#: ("%s" of integers as "%d")
-_KERNEL_WIDTH = {"%.17g": 40, "%.6f": 24, "%d": 24, "%s": 24}
+_KERNEL_WIDTH = {"%.17g": 40, "%.6f": 24, "%d": 24}
 
 
-def fill_rows(template: str, columns: tuple, block_rows: int, block_bytes: int) -> str:
+def fill_rows(template: str, columns: tuple, block_bytes: int) -> str:
     """``template % row`` for every row of ``columns``, as ``_fmt.fill_rows``.
 
-    A block has at most ``block_rows`` rows and ``block_bytes`` of buffer,
-    unless it is one row.
+    A block has at most ``block_bytes`` of buffer, unless it is one row.
     """
-    arrays = []
-    for column in columns:
-        if not isinstance(column, np.ndarray):
-            column = np.array(column, dtype=object)
-        arrays.append(column[:, None] if column.ndim == 1 else column)
-    n = len(arrays[0])
-    if any(len(array) != n for array in arrays):
-        raise ValueError("fill_rows columns differ in length")
+    literals, specs = _parse(template)
+    groups, texts, n = _fields(specs, columns)
     if n == 0:
         return ""
-    parsed = _parse(template)
-    if parsed is None or len(parsed[1]) != sum(array.shape[1] for array in arrays):
-        return _percent(template, arrays)
-    literals, specs = parsed
-    try:
-        groups, texts = _fields(specs, arrays)
-    except Exception:  # % refused a cell: % itself raises for the first in row order
-        return _percent(template, arrays)
     tables = _tables()
     literals = [np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8) for text in literals]
     base = [0] * len(specs)  # each slot's width, before its texts
@@ -96,7 +79,7 @@ def fill_rows(template: str, columns: tuple, block_rows: int, block_bytes: int) 
     fixed = sum(map(len, literals)) + sum(base)
     text_lens = [column.lens for column in texts.values()]
     out = []
-    for lo, hi in _spans(n, fixed, text_lens, block_rows, block_bytes):
+    for lo, hi in _spans(n, fixed, text_lens, block_bytes):
         widths = base.copy()
         slots, cells = [], [(f, *column.rows(lo, hi)) for f, column in texts.items()]
         for group in groups:
@@ -115,98 +98,68 @@ def fill_rows(template: str, columns: tuple, block_rows: int, block_bytes: int) 
     return "".join(out)
 
 
-def _percent(template: str, arrays: list) -> str:
-    """``%`` itself over every row: fill_rows' reference, and the source of its errors.
-
-    A template _parse does not read, a field count that does not match it, or
-    a cell ``%`` refuses come here, so ``%`` raises its error for the first
-    such cell in row order.
-    """
-    cells = np.concatenate([array.astype(object) for array in arrays], axis=1)
-    return (template * len(cells)) % tuple(cells.ravel().tolist())
-
-
 def _parse(template: str):
-    """(the literal texts around the conversions, the conversions), or None.
+    """(the literal texts around the conversions, the conversions).
 
-    None for a template with a ``%`` that is neither ``%%`` nor a plain
-    conversion (a mapping key, a ``*`` width).
+    A ``%`` that is neither ``%%`` nor one of the four conversions is a
+    ValueError naming its field.
     """
-    literals, specs, text, at = [], [], "", 0
-    for match in re.finditer(_SPEC, template):
-        gap = template[at:match.start()]
-        if "%" in gap:
-            return None
-        text += gap
-        at = match.end()
-        if match.group() == "%%":
-            text += "%"
+    literals, specs = [""], []
+    for i, piece in enumerate(re.split(f"({_SPEC})", template)):  # text, spec, text, ...
+        if i % 2 and piece != "%%":
+            specs.append(piece)
+            literals.append("")
+        elif not i % 2 and "%" in piece:
+            bad = piece[piece.index("%"):][:5]
+            raise ValueError(
+                f"fill_rows field {len(specs) + 1}: {bad!r} is not %.17g, %.6f, %d or %s")
         else:
-            literals.append(text)
-            specs.append(match.group())
-            text = ""
-    if "%" in template[at:]:
-        return None
-    literals.append(text + template[at:])
+            literals[-1] += piece.replace("%%", "%")
     return literals, specs
 
 
-def _fields(specs: list[str], arrays: list):
-    """(kernel groups, {field: _Texts}) of the template's fields.
+def _fields(specs: list[str], columns: tuple):
+    """(kernel groups, {field: _Texts}, the row count) of the typed columns.
 
-    A group is one column's fields that share a conversion the kernels write
-    (the whole column when it can be, else one field). Every other field is
-    text: ``%s`` of strings as they are, anything else formatted here, one
-    cell at a time, by ``%``.
+    A kernel column is one group, whose k fields share its conversion. A
+    column that does not fit the template is a TypeError or ValueError
+    naming its first field.
     """
-    groups, texts, field = [], {}, 0
-    for array in arrays:
-        k = array.shape[1]
-        here = specs[field:field + k]
-        data = _kernel_data(here[0], array) if len(set(here)) == 1 else None
-        if data is not None:
-            groups.append(_Group(here[0], data, range(field, field + k)))
-        else:
-            for c, spec in enumerate(here):
-                cells = _field(spec, array[:, c])
-                if isinstance(cells, list):
-                    texts[field + c] = _Texts(cells)
-                else:
-                    groups.append(_Group(spec, cells, [field + c]))
-        field += k
-    return groups, texts
-
-
-def _field(spec: str, cells):
-    """One field's cells as its kernel reads them (n x 1), or as their texts."""
-    values = None
-    if cells.dtype == object:  # a list's cells: numbers of one type, or strings
-        values = cells.tolist()
-        types = set(map(type, values))
-        if spec == "%s" and types == {str}:
-            return values
-        if types == {float} or types == {int}:
+    groups, texts, field, n = [], {}, 0, None
+    for column in columns:
+        if field == len(specs):
+            raise ValueError(f"fill_rows field {field + 1}: the template has only {field}")
+        spec, array = specs[field], isinstance(column, np.ndarray)
+        where = f"fill_rows field {field + 1} ({spec})"
+        what = f"a {column.ndim}-D {column.dtype} array" if array else f"a {type(column).__name__}"
+        if spec == "%s":
+            if array and (column.ndim != 1 or column.dtype.kind not in "OU"):
+                raise TypeError(f"{where} takes a sequence of str, not {what}")
             try:
-                cells = np.array(values, np.float64 if types == {float} else np.int64)
-            except OverflowError:  # an int beyond 64 bits
-                pass
-    data = _kernel_data(spec, cells[:, None])
-    if data is not None:
-        return data
-    values = cells.tolist() if values is None else values
-    if spec == "%s" and cells.dtype.kind == "U":
-        return values
-    return [spec % (value,) for value in values]
-
-
-def _kernel_data(spec: str, array):
-    """``array`` as the kernel for ``spec`` reads it (float64 or integers), or None."""
-    kind = array.dtype.kind
-    if spec in ("%.17g", "%.6f") and (kind in "iu" or (kind == "f" and array.dtype.itemsize <= 8)):
-        return array.astype(np.float64, copy=False)
-    if spec in ("%d", "%s") and kind in "iu":
-        return array
-    return None
+                texts[field] = _Texts(column)
+            except TypeError as error:  # a cell that is not a str
+                raise TypeError(f"{where}: {error}") from None
+            k = 1
+        else:
+            kinds, kind = ("iu", "an integer") if spec == "%d" else ("f", "a float")
+            if not (array and column.ndim in (1, 2) and column.dtype.kind in kinds
+                    and column.dtype.itemsize <= 8):
+                raise TypeError(f"{where} takes {kind} array, 1-D or 2-D, not {what}")
+            data = column[:, None] if column.ndim == 1 else column
+            k = data.shape[1]
+            if specs[field:field + k] != [spec] * k:
+                raise ValueError(f"{where}: {what} spans {', '.join(specs[field:field + k])}")
+            if spec != "%d":
+                data = data.astype(np.float64, copy=False)
+            groups.append(_Group(spec, data, range(field, field + k)))
+        if n is None:
+            n = len(column)
+        elif len(column) != n:
+            raise ValueError(f"{where}: {len(column)} rows, where field 1 has {n}")
+        field += k
+    if n is None or field < len(specs):
+        raise ValueError(f"fill_rows field {field + 1}: no column")
+    return groups, texts, n
 
 
 def _utf8(texts: list[str]):
@@ -233,7 +186,7 @@ class _Texts:
 
 
 class _Group:
-    """Fields of one column that one kernel writes: conversion, n x k data, field numbers."""
+    """One column's fields, which one kernel writes: conversion, n x k data, field numbers."""
 
     def __init__(self, spec: str, data, fields):
         self.spec, self.data, self.fields = spec, data, list(fields)
@@ -242,7 +195,7 @@ class _Group:
         """(the slot words of rows lo..hi; [(field, rows, byte counts, bytes)] of
         the cells outside the kernel's range, each formatted by ``%``)."""
         x = self.data[lo:hi]
-        if self.spec in ("%d", "%s"):
+        if self.spec == "%d":
             return _d_words(x, tables), []
         a = np.abs(x)
         fits = (a >= 1e-4) & (a < 1e17) if self.spec == "%.17g" else a < 1e8
@@ -257,13 +210,13 @@ class _Group:
         return kernel(a, np.signbit(x), tables), fallback
 
 
-def _spans(n: int, fixed: int, text_lens: list, block_rows: int, block_bytes: int):
+def _spans(n: int, fixed: int, text_lens: list, block_bytes: int):
     """Row blocks (lo, hi), in order, halved until each fits.
 
-    A block fits in at most ``block_rows`` rows and ``block_bytes`` of buffer
-    (``fixed`` bytes a row, plus each text field's widest cell), with its
-    texts padding no more bytes than the rest of it holds. One row always
-    fits, however long its texts.
+    A block fits in at most ``block_bytes`` of buffer (``fixed`` bytes a
+    row, plus each text field's widest cell), with its texts padding no
+    more bytes than the rest of it holds. One row always fits, however long
+    its texts.
     """
     todo = [(0, n)]
     while todo:
@@ -271,11 +224,7 @@ def _spans(n: int, fixed: int, text_lens: list, block_rows: int, block_bytes: in
         m = hi - lo
         widest = sum(int(lens[lo:hi].max()) for lens in text_lens)
         held = sum(int(lens[lo:hi].sum()) for lens in text_lens)
-        if m > 1 and (
-            m > block_rows
-            or m * (fixed + widest) > block_bytes
-            or m * widest - held > m * fixed + held
-        ):
+        if m > 1 and (m * (fixed + widest) > block_bytes or m * widest - held > m * fixed + held):
             mid = (lo + hi) // 2
             todo += [(mid, hi), (lo, mid)]
         else:

@@ -3,16 +3,15 @@
 All numeric report output uses point-decimal notation with 17 significant
 digits, which round-trips IEEE double exactly. Report tables are formatted
 whole-array at a time by one formatter, :func:`fill_rows`, whose output is
-``template % row`` for every row. Finiteness is checked once per array
-(:func:`check_finite`), and a non-finite cell raises the same error as
-:func:`fmt_float` would for it.
+``template % row`` for every row of typed columns. Finiteness is checked
+once per array (:func:`check_finite`), and a non-finite cell raises the
+same error as :func:`fmt_float` would for it.
 
-fill_rows writes the digits of the conversions the package uses
-(``%.17g``, ``%.6f``, ``%d`` and ``%s``) with numpy, a block of rows at a
-time, with no Python call per cell; other cells are formatted one at a
-time by ``%``. Its implementation, and the argument that it gives ``%``'s
-text exactly, are in ``_fill``, which is imported on the first call: a
-process that formats nothing never compiles it.
+fill_rows writes with numpy, a block of rows at a time; only floats
+outside a kernel's exact range are formatted one at a time by ``%``. Its
+implementation, and the argument that it gives ``%``'s text exactly, are
+in ``_fill``, which is imported on the first call: a process that formats
+nothing never compiles it.
 
 Text in CSV reports (ids, labels, sector codes, part names) follows one
 quoting rule, :func:`csv_fields`: csv's QUOTE_MINIMAL, which wraps a field
@@ -34,9 +33,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 import numpy as np
-
-#: rows formatted per block, at most
-_BLOCK_ROWS = 1 << 16
 
 #: bytes of one block's buffer, at most, unless the block is one row
 _BLOCK_BYTES = 1 << 20
@@ -87,16 +83,18 @@ def check_finite(values) -> None:
 def fill_rows(template: str, *columns: Sequence) -> str:
     """``template % row`` for every row, concatenated.
 
-    Each column is a 1-D sequence of length n (one ``%`` field) or an n x k
-    array (k fields); a row's fields are the columns side by side. Floats
-    format exactly as ``format(x, spec)`` does (``"%.17g" % x`` equals
-    ``format(x, ".17g")``). No check is made here; see check_finite. The
-    text is written by numpy a block of rows at a time (see ``_fill``),
-    and equals what ``%`` gives, errors included.
+    The template is literal text, ``%%`` and the conversions ``%.17g``,
+    ``%.6f``, ``%d`` and ``%s``. Each column fills the next field (1-D) or
+    the next k fields (n x k) of every row: a float array ``%.17g`` or
+    ``%.6f`` fields and an integer array ``%d`` fields, all of one
+    conversion; a sequence of str one ``%s`` field. Any other template or
+    column is a TypeError or ValueError naming the field, raised before
+    anything is formatted. Floats format exactly as ``format(x, spec)``
+    does. No finiteness check is made here; see check_finite.
     """
     from . import _fill  # here, not at import: see the module docstring
 
-    return _fill.fill_rows(template, columns, _BLOCK_ROWS, _BLOCK_BYTES)
+    return _fill.fill_rows(template, columns, _BLOCK_BYTES)
 
 
 def fmt_rows(prefixes: Sequence[str], values) -> str:
@@ -184,9 +182,9 @@ def json_rows(element: dict, level: int, *columns: Sequence) -> RawJson:
     ``element`` is the record's shape: a dict whose leaves are ``%``
     conversions (``"%d"``, ``"%.17g"``, ``"%s"`` for JSON text). It is laid
     out once by dumps_json's emitter into a template, which fill_rows fills
-    from ``columns``, so the list has the bytes dumps_json would give the
-    list of filled records at ``level``; zero rows give ``[]``. No check is
-    made here; see check_finite.
+    from ``columns``, typed as fill_rows takes them, so the list has the
+    bytes dumps_json would give the list of filled records at ``level``;
+    zero rows give ``[]``. No check is made here; see check_finite.
     """
     if not len(columns[0]):
         return RawJson("[]")

@@ -112,22 +112,43 @@ class RankingResult:
     the table rows sorted by descending score with ties broken by ascending
     entity id, and ``ordering`` their entity ids. Equal compositions need
     not get equal scores: the SVD can give two equal rows points that
-    differ in the last bits, and then the score decides. ``fidelity`` is
-    the Pearson correlation between scores and the exact centred
-    log-ratios, ``rank_agreement`` their Kendall tau-b.
+    differ in the last bits, and then the score decides. ``fidelity`` and
+    ``rank_agreement``, computed when first read, measure how faithfully the
+    rank-k projection reproduces the exact log-ratios (exactly 1 at full
+    compositional rank).
     """
 
     link: Link
     rows: np.ndarray
     scores: np.ndarray
     exact_log_ratios: np.ndarray
-    fidelity: float
-    rank_agreement: float
     entity_ids: tuple[str, ...]
 
     @property
     def ordering(self) -> tuple[str, ...]:
         return tuple(map(self.entity_ids.__getitem__, self.rows.tolist()))
+
+    @cached_property
+    def fidelity(self) -> float:
+        """Pearson correlation between the scores and the exact centred log-ratios."""
+        if self._flat is not None:
+            return self._flat
+        return float(np.corrcoef(self.scores, self.exact_log_ratios)[0, 1])
+
+    @cached_property
+    def rank_agreement(self) -> float:
+        """Kendall's tau-b of the scores and the exact centred log-ratios, which
+        corrects for ties in either; ``scipy.stats.kendalltau``'s bit for bit."""
+        if self._flat is not None:
+            return self._flat
+        return _kendall_tau_b(self.scores, self.exact_log_ratios)
+
+    @cached_property
+    def _flat(self) -> float | None:
+        """Both measures where a series is flat, else None: 1 where both are
+        (the projection is trivially faithful), 0 where one is (no association)."""
+        flat = _is_constant(self.scores), _is_constant(self.exact_log_ratios)
+        return float(all(flat)) if any(flat) else None
 
 
 def center_columns(clr: ClrMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -322,11 +343,7 @@ def rank_along_link(model: BiplotModel, link: Link) -> RankingResult:
 
     The score of entity r is points[r] . direction, the projection parameter
     along the link up to a positive affine map; distance to the link does not
-    enter. Exact centred pairwise log-ratios come from the full CLR matrix,
-    and fidelity/rank_agreement measure how faithfully the rank-k projection
-    reproduces them (exactly 1 at full compositional rank). rank_agreement is
-    Kendall's tau-b, which corrects for ties in either series; it equals
-    ``scipy.stats.kendalltau(scores, exact).statistic`` bit for bit.
+    enter. Exact centred pairwise log-ratios come from the full CLR matrix.
     """
     if link.degenerate:
         raise DegenerateLink(f"parts ({link.part_i}, {link.part_j}) have coincident rays")
@@ -335,25 +352,8 @@ def rank_along_link(model: BiplotModel, link: Link) -> RankingResult:
 
     # descending score, ties by ascending entity id
     rows = np.lexsort((model.id_rank, -scores))
-
-    score_const, exact_const = _is_constant(scores), _is_constant(exact)
-    if score_const or exact_const:
-        # Degenerate agreement: both flat means the projection is trivially
-        # faithful; one-sided flatness means no association.
-        fidelity = 1.0 if (score_const and exact_const) else 0.0
-        rank_agreement = fidelity
-    else:
-        fidelity = float(np.corrcoef(scores, exact)[0, 1])
-        rank_agreement = _kendall_tau_b(scores, exact)
-
     return RankingResult(
-        link=link,
-        rows=rows,
-        scores=scores,
-        exact_log_ratios=exact,
-        fidelity=fidelity,
-        rank_agreement=rank_agreement,
-        entity_ids=model.entity_ids,
+        link=link, rows=rows, scores=scores, exact_log_ratios=exact, entity_ids=model.entity_ids
     )
 
 

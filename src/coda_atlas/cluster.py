@@ -408,8 +408,8 @@ def cluster_profile(
 def assignment_csv(assignment: ClusterAssignment) -> str:
     """CSV rendering: entity_id,cluster_label (entity ids in sorted order)."""
     ids = sorted(assignment.labels)
-    labels = [assignment.labels[eid] for eid in ids]
-    return "entity_id,cluster_label\n" + fill_rows("%s,%s\n", csv_fields(ids), labels)
+    labels = np.array([assignment.labels[eid] for eid in ids], dtype=np.int64)
+    return "entity_id,cluster_label\n" + fill_rows("%s,%d\n", csv_fields(ids), labels)
 
 
 def merge_history_json(assignment: ClusterAssignment) -> dict:
@@ -457,4 +457,5 @@ def profiles_json(profiles: Sequence[ClusterProfile], part_names: Sequence[str])
         "ratio_means": dict.fromkeys(ratio_names, "%.17g"),
     }
     members = [json_text(p.member_ids, 3) for p in profiles]
-    return {"clusters": json_rows(element, 1, [p.label for p in profiles], members, values)}
+    labels = np.array([p.label for p in profiles], dtype=np.int64)
+    return {"clusters": json_rows(element, 1, labels, members, values)}

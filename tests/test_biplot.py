@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from coda_atlas import (
     clr_matrix,
+    default_ratio_catalog,
     fit_biplot,
     make_link,
     model_to_json,
@@ -25,10 +26,13 @@ from coda_atlas import (
     rank_along_link,
     ranking_csv,
     reconstruct,
+    resolvable_ratios,
     singular_spectrum,
     synthetic_csv,
+    synthetic_table,
 )
-from coda_atlas.biplot import Link, _kendall_tau_b, center_columns
+from coda_atlas import biplot
+from coda_atlas.biplot import Link, RankingResult, _kendall_tau_b, center_columns
 from coda_atlas.errors import (
     DegenerateLink,
     DegenerateVariance,
@@ -478,6 +482,41 @@ class TestRanking:
         link = Link(part_i=0, part_j=1, direction=np.array([1.0, 0.0]), degenerate=False)
         expected = sorted(range(n), key=lambda r: (-scores[r], ids[r]))
         assert rank_along_link(model, link).ordering == tuple(ids[r] for r in expected)
+
+    @staticmethod
+    def fixture_rankings():
+        table = synthetic_table()
+        model = fit_biplot(clr_matrix(table), k=2)
+        ratios = resolvable_ratios(table, default_ratio_catalog())
+        links = (make_link(model, *ratio.resolve(table)) for ratio in ratios)
+        return [rank_along_link(model, link) for link in links if not link.degenerate]
+
+    def test_ranking_csv_computes_no_quality_number(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("computed")
+
+        monkeypatch.setattr(np, "corrcoef", fail)
+        monkeypatch.setattr(biplot, "_kendall_tau_b", fail)
+        rankings = self.fixture_rankings()
+        assert len(rankings) == 5
+        for result in rankings:
+            assert ranking_csv(result).count("\n") == 18
+
+    def test_quality_numbers_are_computed_when_read(self):
+        for result in self.fixture_rankings():
+            scores, exact = result.scores, result.exact_log_ratios
+            assert result.fidelity == float(np.corrcoef(scores, exact)[0, 1])
+            # scipy's statistic bit for bit; the pairwise oracle's sum differs
+            # from it in the last bit on four of the five links
+            assert result.rank_agreement == float(scipy.stats.kendalltau(scores, exact).statistic)
+            oracle = pairwise_kendall_tau_b(scores.tolist(), exact.tolist())
+            assert abs(result.rank_agreement - oracle) <= 1e-12
+        # a flat series: 1 when both are flat, 0 when one is
+        flat, slope = np.full(4, 0.5), np.arange(4.0)
+        for scores, exact, expected in ((flat, flat, 1.0), (flat, slope, 0.0), (slope, flat, 0.0)):
+            result = RankingResult(link=None, rows=np.arange(4), scores=scores,
+                                   exact_log_ratios=exact, entity_ids=("a", "b", "c", "d"))
+            assert (result.fidelity, result.rank_agreement) == (expected, expected)
 
     def test_fidelity_below_one_when_rank_truncates(self, rng):
         # with D=8 and n=17 rank 2 < m: projections are approximations
