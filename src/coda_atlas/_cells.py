@@ -1,18 +1,18 @@
 """CSV cells to entity texts and numbers, under a locale's strict grammar.
 
-Three paths, tried in order; each earlier one returns None whenever it
-cannot vouch for its result, and where two return they give the same texts
-and bit-identical values:
+Two paths, tried in order. The first returns None whenever it cannot vouch
+for its result, and where it returns, the second gives the same texts and
+bit-identical values:
 
 * :func:`read_block` takes point-decimal ASCII text in which csv quoting
   cannot matter (no double quote, carriage return, NUL or blank line,
   every line as wide as the header, every id non-empty, every value
   finite) and converts the whole numeric block in one C pass;
-* :func:`parse_columns` checks and converts the cells of :func:`read_cells`
-  a whole part column at a time: quoted cells and the EU locale, whose
-  decimal commas are always quoted, come here;
-* :func:`parse_rows` decides one row and one cell at a time, and raises
-  the first ParseError in row order with its line, column and token.
+* :func:`read_cells` splits any other text into cells with the csv
+  module, and :func:`parse_rows` decides them one row and one cell at a
+  time, raising the first ParseError in row order with its line, column
+  and token. Quoted cells, non-ASCII text and the EU locale, whose decimal
+  commas are always quoted, come here.
 """
 
 from __future__ import annotations
@@ -30,23 +30,6 @@ from .errors import EmptyInput, ParseError
 EU_NUMBER = re.compile(
     r"[+-]?(?:(?:[0-9]{1,3}(?:\.[0-9]{3})+|[0-9]+)(?:,[0-9]*)?|,[0-9]+)(?:[eE][+-]?[0-9]+)?"
 )
-
-#: a column of EU cells joined by newlines; the lookahead and backreference
-#: match each line once, atomically, so a failing column costs one pass too
-_EU_COLUMN = re.compile(rf"(?:(?=({EU_NUMBER.pattern}\n))\1)*{EU_NUMBER.pattern}")
-
-#: whitespace, which parse_rows strips from around a cell, but not the
-#: newline that joins a column's cells
-_BLANK = r"[^\S\n]"
-
-#: _EU_COLUMN with blanks allowed around each cell (compiled on first use)
-_EU_BLANK_CELL = rf"{_BLANK}*{EU_NUMBER.pattern}{_BLANK}*"
-_EU_BLANK_COLUMN = rf"(?:(?=({_EU_BLANK_CELL}\n))\1)*{_EU_BLANK_CELL}"
-
-#: what float() accepts but the point-decimal grammar does not, besides
-#: non-ASCII text: "_" digit separators and inf/infinity/nan (every spelling
-#: has an n), and the decimal comma
-_NOT_POINT_DECIMAL = "_nN,"
 
 
 def parse_number(text: str, locale: str, line: int, column: int) -> float:
@@ -86,7 +69,7 @@ def read_block(data: str, locale: str):
     csv's reader would then split each line at its commas, and
     ``np.loadtxt`` converts with ``PyOS_string_to_double``, the conversion
     float() uses. What it declines (``_`` digit separators, an empty cell,
-    a ragged row) the cell paths decide, with their error records.
+    a ragged row) the cell path decides, with its error records.
     """
     if locale != "point_decimal" or not data.isascii():
         return None
@@ -102,7 +85,7 @@ def read_block(data: str, locale: str):
     # a blank line has no comma, a ragged row another count
     if width < 4 or [line.count(",") for line in lines].count(width - 1) != len(lines):
         return None
-    # a longer field is csv's error, which the cell paths report
+    # a longer field is csv's error, which the cell path reports
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     rows = lines[1:]
@@ -141,46 +124,6 @@ def read_cells(data: str) -> tuple[list[str], list[int]]:
     if not widths:
         raise EmptyInput("no CSV content")
     return cells, widths
-
-
-def parse_columns(cells: list[str], widths: list[int], locale: str):
-    """(ids, labels, sector codes, values) of the data rows, a column at a time.
-
-    None unless every data row has the header's width and a non-empty id
-    and every part column passes its locale's grammar as a whole; the
-    row-by-row parse then decides. Where this returns, that parse gives the
-    same texts and bit-identical values.
-    """
-    width = widths[0]
-    n = len(widths) - 1
-    if n == 0 or widths.count(width) != n + 1:
-        return None
-    ids, labels, sectors = ([c.strip() for c in cells[width + k::width]] for k in range(3))
-    if not all(ids):
-        return None
-    values = np.empty((n, width - 3))
-    for k in range(width - 3):
-        column = cells[width + 3 + k::width]
-        joined = "\n".join(column)
-        if locale == "point_decimal":
-            if not joined.isascii() or any(c in joined for c in _NOT_POINT_DECIMAL):
-                return None
-        else:
-            # a cell holding a newline would shift the lines against the rows
-            if joined.count("\n") != n - 1:
-                return None
-            if not _EU_COLUMN.fullmatch(joined):
-                if not re.fullmatch(_EU_BLANK_COLUMN, joined):
-                    return None
-                # blanks pass only around a cell: dropping every one strips
-                # each cell as parse_rows does
-                joined = re.sub(rf"{_BLANK}+", "", joined)
-            column = joined.replace(".", "").replace(",", ".").split("\n")
-        try:
-            values[:, k] = np.array(column, dtype=float)
-        except ValueError:  # "", whitespace only, or not a float() literal
-            return None
-    return ids, labels, sectors, values
 
 
 def parse_rows(cells: list[str], widths: list[int], locale: str):

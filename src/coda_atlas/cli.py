@@ -45,7 +45,7 @@ from functools import cached_property
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .composition import clr_matrix, find_ratio, resolvable_ratios
-from .errors import CodaError, IoFailure
+from .errors import CodaError, InsufficientMemory, IoFailure
 from ._fmt import dumps_json
 from .ingest import IngestConfig, clr_csv, parse_table, serialize_table, write_outputs
 
@@ -249,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(IoFailure(str(exc)).record(), file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(InsufficientMemory(str(exc)).record(), file=sys.stderr)
         return 1
 
 

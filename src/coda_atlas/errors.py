@@ -156,3 +156,7 @@ class InvalidOptions(CodaError):
 
 class IoFailure(CodaError):
     pass
+
+
+class InsufficientMemory(CodaError):
+    pass

@@ -10,15 +10,10 @@ an IndicatorTable.
 Point-decimal text in which csv quoting cannot matter (ASCII, no double
 quote, carriage return, NUL or blank line, every row as wide as the
 header) is converted in one ``np.loadtxt`` pass over the numeric block.
-Other text is split into cells by the csv module and parsed a column at a
-time: when every data row has the header's width and a non-empty id, each
-part column is checked against its locale's grammar as one joined text
-(point-decimal: ASCII with no ``_``, ``n``, ``N`` or ``,``; EU: one pass of
-the EU number pattern, then the dot and comma rewrite) and converted by one
-``np.array(column, dtype=float)``, which accepts exactly what ``float()``
-accepts. If any of that fails, the table is parsed again row by row, cell
-by cell, which gives every ParseError its line, column and token and
-raises the first one in row order. All three parses live in ``_cells``.
+Other text (quoted cells, non-ASCII text, the EU locale) is split into
+cells by the csv module and parsed row by row, cell by cell, which gives
+every ParseError its line, column and token and raises the first one in
+row order. Both parses live in ``_cells``.
 
 All numeric output uses point decimals with 17 significant digits, which
 round-trips IEEE doubles exactly. Every report file is written by one
@@ -253,6 +248,9 @@ class IngestConfig:
             raise ParseError(
                 line=exc.lineno, column=exc.colno, token="", reason=exc.msg
             ) from exc
+        except UnicodeDecodeError as exc:  # of the encoding json.loads detected
+            reason = f"not {exc.encoding}: {exc.reason}"
+            raise ParseError(line=1, column=1, token="", reason=reason) from exc
         if not isinstance(doc, dict):
             raise InvalidOptions("config document must be a JSON object")
         unknown = set(doc) - set(_CONFIG_SHAPES)
@@ -323,9 +321,7 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
         factors.append(factor)
 
     if block is None:
-        parsed = _cells.parse_columns(cells, widths, config.locale)
-        if parsed is None:
-            parsed = _cells.parse_rows(cells, widths, config.locale)
+        parsed = _cells.parse_rows(cells, widths, config.locale)
         del cells  # before the entities are built: see _cells.read_cells
     ids, labels, sectors, values = parsed
     entities = list(map(Entity, ids, labels, sectors))

