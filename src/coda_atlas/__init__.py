@@ -9,16 +9,23 @@ both as a library function and through the ``coda-atlas`` command line.
 Stage modules are loaded on first use: ``import coda_atlas`` imports none
 of them, and reading a public name (``coda_atlas.fit_biplot``) or a stage
 module (``coda_atlas.cluster``) imports the module that defines it.
+
+The report builders (``serialize_table``, ``model_to_json``,
+``ranking_csv``, ``assignment_csv``, ``render_biplot``, ...) check their
+input when called and return a ``LazyText``: its numbers are formatted
+when it is read. ``str()`` gives the whole text; iterating gives its UTF-8
+bytes a block at a time, which is how ``write_reports`` writes it.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: the public names of each stage module. .fixture in particular must stay
+#: the public names of each module. .fixture in particular must stay
 #: out of sys.modules until used: ``python -m coda_atlas.fixture`` warns
 #: when the package import has loaded it already
 _MODULES = {
+    "_fmt": ("LazyText",),
     "biplot": (
         "BiplotModel", "Link", "RankingResult", "fit_biplot", "make_link",
         "model_to_json", "rank_along_link", "ranking_csv", "reconstruct",

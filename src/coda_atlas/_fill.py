@@ -5,14 +5,15 @@
 (without a bytecode cache, compiling this module takes ~3.6 ms and
 ``_fmt`` ~1.0 ms).
 
-It fills the typed columns of ``_fmt.fill_rows``' four conversions a
-block of rows at a time, with no Python call per cell. Each cell of a
-block gets a fixed-width slot in one byte buffer, padded with the byte
-0xFF, which UTF-8 never holds. One ``bytes.translate`` pass deletes the
-padding, and each block is decoded to text on its own. A block's rows are
-chosen from its widest row, so its buffer stays under ``block_bytes`` (a
-row wider than that is a block alone). The conversions are written this
-way:
+A :class:`Fill` checks the typed columns of ``_fmt.fill_rows``' four
+conversions when it is made, and fills them when it is read, a block of
+rows at a time, with no Python call per cell. Each cell of a block gets a
+fixed-width slot in one byte buffer, padded with the byte 0xFF, which
+UTF-8 never holds. One ``bytes.translate`` pass deletes the padding, and
+the block's bytes go to the reader as they are: no text is decoded or
+joined unless ``str()`` asks for it. A block's rows are chosen from its
+widest row, so its buffer stays under ``block_bytes`` (a row wider than
+that is a block alone). The conversions are written this way:
 
 * ``%.17g`` for finite |x| in [1e-4, 1e17), the range ``g`` writes without
   an exponent. The exponent E comes from ``log10``. v = |x| * 10^(16-E)
@@ -37,10 +38,11 @@ inf and nan for ``%.6f``) are formatted one at a time by ``%``, and their
 text is placed like any other.
 
 Measured at 20000 x 32 on a 2-vCPU x86 VM (Python 3.11, numpy 2.4; medians
-of 5 alternating processes): ``clr_csv`` takes 123 ms and
-``serialize_table`` 138 ms, against 282 and 194 ms when ``%`` formatted
+of 5 alternating processes): reading ``clr_csv``'s bytes takes ~96 ms and
+``serialize_table``'s ~107 ms, against 282 and 194 ms when ``%`` formatted
 each cell, with the table cut in row shares across both CPUs by forked
-children. The lookup tables are built on the first call, in ~1 ms.
+children, and 109 and 111 ms when ``np.divmod`` split the digit groups.
+The lookup tables are built the first time a fill is read, in ~1 ms.
 """
 
 from __future__ import annotations
@@ -61,41 +63,60 @@ _SPEC = r"%(?:%|\.17g|\.6f|d|s)"
 _KERNEL_WIDTH = {"%.17g": 40, "%.6f": 24, "%d": 24}
 
 
-def fill_rows(template: str, columns: tuple, block_bytes: int) -> str:
+class Fill:
     """``template % row`` for every row of ``columns``, as ``_fmt.fill_rows``.
 
-    A block has at most ``block_bytes`` of buffer, unless it is one row.
+    The template and columns are checked here, and a snapshot of each
+    column is kept: a float or integer array as it is when read-only, else
+    a copy; texts as their UTF-8 bytes. The rows are formatted only when
+    the fill is read, a block of at most ``block_bytes`` of buffer (or one
+    row) at a time, and the last ``trim`` bytes are left out.
     """
-    literals, specs = _parse(template)
-    groups, texts, n = _fields(specs, columns)
-    if n == 0:
-        return ""
-    tables = _tables()
-    literals = [np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8) for text in literals]
-    base = [0] * len(specs)  # each slot's width, before its texts
-    for group in groups:
-        for f in group.fields:
-            base[f] = _KERNEL_WIDTH[group.spec]
-    fixed = sum(map(len, literals)) + sum(base)
-    text_lens = [column.lens for column in texts.values()]
-    out = []
-    for lo, hi in _spans(n, fixed, text_lens, block_bytes):
-        widths = base.copy()
-        slots, cells = [], [(f, *column.rows(lo, hi)) for f, column in texts.items()]
-        for group in groups:
-            words, fallback = group.fill(lo, hi, tables)
-            slots.append((group.fields, words.view(np.uint8)))
-            cells += fallback
-        for f, _, lens, _ in cells:
-            if len(lens):
-                widths[f] = max(widths[f], int(lens.max()))
-        buffer, at = _buffer(hi - lo, literals, widths)
-        for group_fields, slot in slots:
-            _put_slots(buffer, [at[f] for f in group_fields], slot)
-        for f, rows, lens, data in cells:
-            _put_cells(buffer, at[f], widths[f], rows, lens, data)
-        out.append(buffer.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass"))
-    return "".join(out)
+
+    def __init__(self, template: str, columns: tuple, block_bytes: int, trim: int = 0):
+        literals, self.specs = _parse(template)
+        self.groups, self.texts, self.n = _fields(self.specs, columns)
+        encoded = [_encode(text) for text in literals]
+        self.literals = [np.frombuffer(data, np.uint8) for data, _ in encoded]
+        errors = [error for _, error in encoded] + [t.error for t in self.texts.values()]
+        #: a lone surrogate's UnicodeEncodeError: such text is only ever str
+        self.error = next(filter(None, errors), None)
+        self.block_bytes, self.trim = block_bytes, trim
+
+    def __iter__(self):
+        """The text's UTF-8 bytes a block at a time."""
+        if self.error is not None:
+            raise self.error
+        return self.blocks()
+
+    def blocks(self):
+        """Each block's bytes, a lone surrogate as its surrogatepass bytes."""
+        if self.n == 0:
+            return
+        tables, literals, specs = _tables(), self.literals, self.specs
+        base = [0] * len(specs)  # each slot's width, before its texts
+        for group in self.groups:
+            for f in group.fields:
+                base[f] = _KERNEL_WIDTH[group.spec]
+        fixed = sum(map(len, literals)) + sum(base)
+        text_lens = [column.lens for column in self.texts.values()]
+        for lo, hi in _spans(self.n, fixed, text_lens, self.block_bytes):
+            widths = base.copy()
+            slots, cells = [], [(f, *column.rows(lo, hi)) for f, column in self.texts.items()]
+            for group in self.groups:
+                words, fallback = group.fill(lo, hi, tables)
+                slots.append((group.fields, words.view(np.uint8)))
+                cells += fallback
+            for f, _, lens, _ in cells:
+                if len(lens):
+                    widths[f] = max(widths[f], int(lens.max()))
+            buffer, at = _buffer(hi - lo, literals, widths)
+            for group_fields, slot in slots:
+                _put_slots(buffer, [at[f] for f in group_fields], slot)
+            for f, rows, lens, data in cells:
+                _put_cells(buffer, at[f], widths[f], rows, lens, data)
+            block = buffer.tobytes().translate(None, b"\xff")
+            yield memoryview(block)[:-self.trim] if hi == self.n and self.trim else block
 
 
 def _parse(template: str):
@@ -149,8 +170,9 @@ def _fields(specs: list[str], columns: tuple):
             k = data.shape[1]
             if specs[field:field + k] != [spec] * k:
                 raise ValueError(f"{where}: {what} spans {', '.join(specs[field:field + k])}")
-            if spec != "%d":
-                data = data.astype(np.float64, copy=False)
+            # as it is when read-only, else a copy: the rows are formatted when read
+            data = data.astype(data.dtype if spec == "%d" else np.float64,
+                               copy=data.flags.writeable)
             groups.append(_Group(spec, data, range(field, field + k)))
         if n is None:
             n = len(column)
@@ -162,22 +184,33 @@ def _fields(specs: list[str], columns: tuple):
     return groups, texts, n
 
 
+def _encode(text: str):
+    """(text's UTF-8 bytes, None), or for text with a lone surrogate (its
+    surrogatepass bytes, the UnicodeEncodeError that str.encode raises)."""
+    try:
+        return text.encode("utf-8"), None
+    except UnicodeEncodeError as error:
+        return text.encode("utf-8", "surrogatepass"), error
+
+
 def _utf8(texts: list[str]):
-    """(each text's UTF-8 byte count, all their bytes in order), with no call per text."""
+    """(each text's UTF-8 byte count, all their bytes in order, _encode's
+    error), with no call per text."""
     joined = "".join(texts)
-    data = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+    data, error = _encode(joined)
+    data = np.frombuffer(data, np.uint8)
     lens = np.fromiter(map(len, texts), np.int64, len(texts))
     if len(data) != len(joined):  # not ASCII: each char starts at a non-continuation byte
         starts = np.append(np.flatnonzero((data & 0xC0) != 0x80), len(data))
         lens = np.diff(starts[np.cumsum(lens)], prepend=0)
-    return lens, data
+    return lens, data, error
 
 
 class _Texts:
     """A text field's cells as UTF-8, sliced by rows."""
 
     def __init__(self, texts: list[str]):
-        self.lens, self.data = _utf8(texts)
+        self.lens, self.data, self.error = _utf8(texts)
         self.starts = np.concatenate(([0], np.cumsum(self.lens)))
 
     def rows(self, lo: int, hi: int):
@@ -204,7 +237,7 @@ class _Group:
             for c in np.flatnonzero(~fits.all(axis=0)):
                 rows = np.flatnonzero(~fits[:, c])
                 texts = [self.spec % (value,) for value in x[rows, c].tolist()]
-                fallback.append((self.fields[c], rows, *_utf8(texts)))
+                fallback.append((self.fields[c], rows, *_utf8(texts)[:2]))
             a = np.where(fits, a, 1.0)
         kernel = _g_words if self.spec == "%.17g" else _f_words
         return kernel(a, np.signbit(x), tables), fallback
@@ -357,9 +390,10 @@ def _d_words(x, t):
 def _groups(u, count: int) -> list:
     """u's last 4 * count digits, four to a group, the most significant first."""
     groups = []
-    for _ in range(count - 1):
-        u, g = np.divmod(u, 10**4)
-        groups.append(g)
+    for _ in range(count - 1):  # // and a product: faster than np.divmod on these blocks
+        q = u // 10**4
+        groups.append(u - q * 10**4)
+        u = q
     return [u, *reversed(groups)]
 
 
@@ -420,5 +454,5 @@ class _Tables:
 
 @functools.cache
 def _tables() -> _Tables:
-    """The lookup tables, built on the first fill_rows call, never at import."""
+    """The lookup tables, built the first time a fill is read, never at import."""
     return _Tables()

@@ -7,11 +7,16 @@ whole-array at a time by one formatter, :func:`fill_rows`, whose output is
 once per array (:func:`check_finite`), and a non-finite cell raises the
 same error as :func:`fmt_float` would for it.
 
-fill_rows writes with numpy, a block of rows at a time; only floats
-outside a kernel's exact range are formatted one at a time by ``%``. Its
-implementation, and the argument that it gives ``%``'s text exactly, are
-in ``_fill``, which is imported on the first call: a process that formats
-nothing never compiles it.
+Report text is a :class:`LazyText`: str pieces and fills, in order. A
+fill checks its template and columns when it is made and writes its rows
+with numpy, a block at a time, only when the text is read; only floats
+outside a kernel's exact range are formatted one at a time by ``%``.
+Iterating a LazyText gives its UTF-8 bytes a block at a time, which is
+how the report writer reads it, so no report is ever whole in memory;
+``str()`` gives the whole text. The implementation of the fills, and the
+argument that they give ``%``'s text exactly, are in ``_fill``, which is
+imported on the first call to fill_rows: a process that formats nothing
+never compiles it.
 
 Text in CSV reports (ids, labels, sector codes, part names) follows one
 quoting rule, :func:`csv_fields`: csv's QUOTE_MINIMAL, which wraps a field
@@ -23,12 +28,13 @@ The stdlib ``json`` module cannot format floats that way, hence the small
 emitter below; string escaping is delegated back to ``json``'s own encoder.
 It is the one JSON layout: :func:`json_rows` writes a list of records by
 laying out one record through it and filling that template with
-:func:`fill_rows`.
+:func:`fill_rows`; :func:`dumps_json` keeps such a list lazy.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
@@ -80,7 +86,57 @@ def check_finite(values) -> None:
         fmt_float(values.flat[np.argmin(finite)])
 
 
-def fill_rows(template: str, *columns: Sequence) -> str:
+class LazyText:
+    """Report text made of str pieces and fills, formatted when it is read.
+
+    Iterating it gives its UTF-8 bytes, a str piece or a fill block at a
+    time; ``str()`` and ``encode()`` give the whole text, and ``+`` with a
+    str or another LazyText gives a LazyText. It can be read any number of
+    times. Text with a lone surrogate gives it in ``str()``, and raises
+    str.encode's UnicodeEncodeError when its bytes are read.
+    """
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, *pieces):
+        self.pieces = pieces  # str, LazyText or _fill.Fill
+
+    def __add__(self, other):
+        return LazyText(self, other)
+
+    def __radd__(self, other):
+        return LazyText(other, self)
+
+    def __iter__(self):
+        for piece in self.pieces:
+            if isinstance(piece, str):
+                yield piece.encode("utf-8")
+            else:
+                yield from piece
+
+    def __str__(self) -> str:
+        text = ""
+        for piece in self._texts():
+            text += piece  # CPython grows text in place: it is its only reference
+        return text
+
+    def _texts(self):
+        """The text in pieces: str pieces as they are, a fill a block at a time."""
+        for piece in self.pieces:
+            if isinstance(piece, str):
+                yield piece
+            elif isinstance(piece, LazyText):
+                yield from piece._texts()
+            else:
+                for block in piece.blocks():
+                    yield str(block, "utf-8", "surrogatepass")
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        """The whole text encoded; in UTF-8, the bytes that iterating gives."""
+        return b"".join(self) if encoding == "utf-8" else str(self).encode(encoding)
+
+
+def fill_rows(template: str, *columns: Sequence) -> LazyText:
     """``template % row`` for every row, concatenated.
 
     The template is literal text, ``%%`` and the conversions ``%.17g``,
@@ -88,16 +144,22 @@ def fill_rows(template: str, *columns: Sequence) -> str:
     the next k fields (n x k) of every row: a float array ``%.17g`` or
     ``%.6f`` fields and an integer array ``%d`` fields, all of one
     conversion; a sequence of str one ``%s`` field. Any other template or
-    column is a TypeError or ValueError naming the field, raised before
-    anything is formatted. Floats format exactly as ``format(x, spec)``
-    does. No finiteness check is made here; see check_finite.
+    column is a TypeError or ValueError naming the field, raised here; the
+    rows are formatted when the text is read, from the columns as they are
+    now. Floats format exactly as ``format(x, spec)`` does. No finiteness
+    check is made here; see check_finite.
     """
+    return _filled(template, columns)
+
+
+def _filled(template: str, columns: tuple, trim: int = 0) -> LazyText:
+    """fill_rows, without its last ``trim`` bytes."""
     from . import _fill  # here, not at import: see the module docstring
 
-    return _fill.fill_rows(template, columns, _BLOCK_BYTES)
+    return LazyText(_fill.Fill(template, columns, _BLOCK_BYTES, trim))
 
 
-def fmt_rows(prefixes: Sequence[str], values) -> str:
+def fmt_rows(prefixes: Sequence[str], values) -> LazyText:
     """CSV lines ``prefix,v1,...,vk`` of an n x k float array, each ending in newline.
 
     Values are checked finite and formatted with 17 significant digits,
@@ -115,7 +177,7 @@ class RawJson(str):
 def _emit(obj: Any, level: int, out: list[str]) -> None:
     pad = _INDENT * level
     child_pad = pad + _INDENT
-    if isinstance(obj, RawJson):
+    if isinstance(obj, (RawJson, LazyText)):
         out.append(obj)
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -161,9 +223,20 @@ def json_text(obj: Any, level: int) -> str:
     return "".join(out)
 
 
-def dumps_json(obj: Any) -> str:
-    """Serialize to JSON: two spaces per level, deterministic key order, .17g floats."""
-    return json_text(obj, 0) + "\n"
+def dumps_json(obj: Any) -> LazyText:
+    """Serialize to JSON: two spaces per level, deterministic key order, .17g floats.
+
+    The json_rows lists in ``obj`` stay lazy: their rows are filled when
+    the text is read.
+    """
+    out: list = []
+    _emit(obj, 0, out)
+    out.append("\n")
+    try:
+        return LazyText("".join(out))
+    except TypeError:  # a LazyText among the pieces: join the str runs around it
+        runs = groupby(out, lambda piece: isinstance(piece, str))
+        return LazyText(*("".join(run) if text else LazyText(*run) for text, run in runs))
 
 
 def _conversions(element: Any) -> Any:
@@ -176,7 +249,7 @@ def _conversions(element: Any) -> Any:
     return RawJson(element)
 
 
-def json_rows(element: dict, level: int, *columns: Sequence) -> RawJson:
+def json_rows(element: dict, level: int, *columns: Sequence) -> LazyText:
     """A list of records, one per row of ``columns``, laid out for nesting ``level``.
 
     ``element`` is the record's shape: a dict whose leaves are ``%``
@@ -187,7 +260,8 @@ def json_rows(element: dict, level: int, *columns: Sequence) -> RawJson:
     zero rows give ``[]``. No check is made here; see check_finite.
     """
     if not len(columns[0]):
-        return RawJson("[]")
+        return LazyText("[]")
     pad = _INDENT * level
     record = pad + _INDENT + json_text(_conversions(element), level + 1) + ",\n"
-    return RawJson("[\n" + fill_rows(record, *columns)[:-2] + "\n" + pad + "]")
+    # the last record's ",\n" is left out of the fill's last block
+    return LazyText("[\n", _filled(record, columns, trim=2), "\n" + pad + "]")

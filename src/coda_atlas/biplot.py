@@ -46,7 +46,7 @@ from .errors import (
     SvdFailure,
     TooFewRows,
 )
-from ._fmt import check_finite, csv_fields, dumps_json, fill_rows, json_rows
+from ._fmt import LazyText, check_finite, csv_fields, dumps_json, fill_rows, json_rows
 
 #: Relative spread below which a score/log-ratio series counts as constant.
 _CONSTANT_RTOL = 1e-12
@@ -366,7 +366,7 @@ def reconstruct(model: BiplotModel) -> np.ndarray:
     return model.points @ model.rays.T
 
 
-def model_to_json(model: BiplotModel) -> str:
+def model_to_json(model: BiplotModel) -> LazyText:
     """Serialize the fitted model to its JSON document (17 significant digits)."""
     arrays = (model.singular_values, model.explained, model.column_means, model.points, model.rays)
     for values in arrays:  # in document order: the first error is the first written
@@ -386,7 +386,7 @@ def model_to_json(model: BiplotModel) -> str:
     return dumps_json(doc)
 
 
-def ranking_csv(result: RankingResult) -> str:
+def ranking_csv(result: RankingResult) -> LazyText:
     """CSV rendering of a ranking: entity_id,score,exact_log_ratio,rank.
 
     Rows follow the ranking order, so rank runs 1..n top-down.

@@ -8,7 +8,7 @@ errors exit with code 2.
 
 Every subcommand reads one staged run, ``_Analysis``, whose stages (config
 -> table -> clr -> model -> links) are built on first use and then kept. A
-subcommand is a function from the run to ``{file name: content}``, and
+subcommand is a function from the run to ``{file name: lazy text}``, and
 ``pipeline`` is their union. Every flag defaults to ``pipeline``'s setting,
 so each artifact is built by one piece of code and, without flags, equals
 ``pipeline``'s file of the same name. ``main`` writes whatever a
@@ -46,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .composition import clr_matrix, find_ratio, resolvable_ratios
 from .errors import CodaError, InsufficientMemory, IoFailure
-from ._fmt import dumps_json
+from ._fmt import LazyText, dumps_json
 from .ingest import IngestConfig, clr_csv, parse_table, serialize_table, write_outputs
 
 #: stage settings as ``pipeline`` runs them, the default of every flag;
@@ -104,7 +104,7 @@ class _Analysis:
         return make_link(model, i, j, label=name)
 
 
-def _validate(run: _Analysis) -> dict[str, str]:
+def _validate(run: _Analysis) -> dict[str, LazyText]:
     table = run.table
     print(f"valid: {table.n} entities x {table.D} parts")
     print(f"sectors: {', '.join(sorted({e.sector_code for e in table.entities}))}")
@@ -113,31 +113,31 @@ def _validate(run: _Analysis) -> dict[str, str]:
     return {}
 
 
-def _describe(run: _Analysis) -> dict[str, str]:
+def _describe(run: _Analysis) -> dict[str, LazyText]:
     from .stats import describe_csv, summarize_table
 
     summaries = summarize_table(run.table, run.config.ratio_catalog)
     return {"describe.csv": describe_csv(summaries)}
 
 
-def _diagnose(run: _Analysis) -> dict[str, str]:
+def _diagnose(run: _Analysis) -> dict[str, LazyText]:
     from .stats import pathology_json, pathology_report
 
     report = pathology_report(run.table, run.config.ratio_catalog)
     return {"pathology.json": dumps_json(pathology_json(report))}
 
 
-def _clr(run: _Analysis) -> dict[str, str]:
+def _clr(run: _Analysis) -> dict[str, LazyText]:
     return {"clr.csv": clr_csv(run.clr)}
 
 
-def _biplot(run: _Analysis) -> dict[str, str]:
+def _biplot(run: _Analysis) -> dict[str, LazyText]:
     from .biplot import model_to_json
 
     return {"model.json": model_to_json(run.model)}
 
 
-def _rank(run: _Analysis) -> dict[str, str]:
+def _rank(run: _Analysis) -> dict[str, LazyText]:
     from .biplot import rank_along_link, ranking_csv
 
     links = run.links if run.args.ratio is None else (run.link(run.args.ratio),)
@@ -147,7 +147,7 @@ def _rank(run: _Analysis) -> dict[str, str]:
     }
 
 
-def _cluster(run: _Analysis) -> dict[str, str]:
+def _cluster(run: _Analysis) -> dict[str, LazyText]:
     from .cluster import (
         _cluster_clr, assignment_csv, cluster_profile, merge_history_json, profiles_json,
     )
@@ -163,7 +163,7 @@ def _cluster(run: _Analysis) -> dict[str, str]:
     }
 
 
-def _render(run: _Analysis) -> dict[str, str]:
+def _render(run: _Analysis) -> dict[str, LazyText]:
     from .render import RenderOptions, render_biplot
 
     model, args = run.model, run.args
@@ -180,12 +180,13 @@ def _render(run: _Analysis) -> dict[str, str]:
     return {"biplot.svg": render_biplot(model, run.table, options)}
 
 
-def _pipeline(run: _Analysis) -> dict[str, str]:
+def _pipeline(run: _Analysis) -> dict[str, LazyText]:
     outputs = {}
     # model first: a failed fit is reported before any report's own error.
-    # Every report is formatted in this process (fill_rows forks no child,
-    # so OpenBLAS's threads run as the fit left them), and the writer sorts
-    # the names when it writes the manifest, so the order changes no byte.
+    # Each builder makes its checks here, in this order, and returns lazy
+    # text: the writer formats one report at a time, a fill block at a time,
+    # as it writes it, so at most one block of report text is alive. It
+    # sorts the names for the manifest, so the order changes no byte.
     for build in (_biplot, _describe, _diagnose, _clr, _rank, _cluster, _render):
         outputs.update(build(run))
     outputs["table.csv"] = serialize_table(run.table)

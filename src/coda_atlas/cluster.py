@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fmt import check_finite, csv_fields, fill_rows, json_rows, json_text
+from ._fmt import LazyText, check_finite, csv_fields, fill_rows, json_rows, json_text
 from .composition import (
     ClrMatrix,
     IndicatorTable,
@@ -55,6 +55,7 @@ from .errors import (
     DuplicateEntityId,
     DuplicatePartName,
     InfeasibleCut,
+    InsufficientMemory,
     InvalidOptions,
     MismatchedEntities,
     TooFewRows,
@@ -150,6 +151,34 @@ class ClusterProfile:
     ratio_means: dict[str, float]
 
 
+def _available_memory() -> int | None:
+    """Bytes this process may still allocate, on Linux; None elsewhere.
+
+    MemAvailable from /proc/meminfo, and where the process's cgroup (v2)
+    has a memory.max that is a number, no more than memory.max minus
+    memory.current. memory.current counts page cache, so the cache the
+    kernel can drop first (memory.stat's inactive_file) is added back.
+    """
+    try:
+        with open("/proc/meminfo", "rb") as handle:
+            fields = dict(line.split(b":", 1) for line in handle)
+        available = int(fields[b"MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return None
+    try:
+        with open("/proc/self/cgroup") as handle:
+            path = next(line[3:].strip() for line in handle if line.startswith("0::"))
+        group = f"/sys/fs/cgroup{path}"
+        with open(f"{group}/memory.max") as limit, open(f"{group}/memory.current") as used:
+            free = int(limit.read()) - int(used.read())
+        with open(f"{group}/memory.stat") as stat:
+            free += next(int(line.split()[1]) for line in stat if line.startswith("inactive_file "))
+        available = min(available, free)
+    except (OSError, StopIteration, ValueError):  # no cgroup v2, or memory.max is "max"
+        pass
+    return available
+
+
 def _block_distances(c: np.ndarray) -> np.ndarray:
     """Euclidean distances d[i, j], j >= i, between the rows of c; zero diagonal.
 
@@ -157,8 +186,16 @@ def _block_distances(c: np.ndarray) -> np.ndarray:
     time against the columns from the block's first row on, through one
     preallocated buffer; each pair is one np.sum over its D squared
     differences, so every value equals the full n x n x D tensor's exactly.
+    An n x n matrix that does not fit in the memory available is
+    InsufficientMemory, before anything is allocated.
     """
     n, D = c.shape
+    need, available = 8 * n * n, _available_memory()
+    if available is not None and need > available:
+        raise InsufficientMemory(
+            f"clustering {n} rows needs {need / 2**30:.1f} GiB, "
+            f"{available / 2**30:.1f} GiB available"
+        )
     d = np.empty((n, n), dtype=c.dtype)
     buffer = np.empty((min(_DISTANCE_BLOCK_ROWS, n), n, D), dtype=c.dtype)
     for start in range(0, n, _DISTANCE_BLOCK_ROWS):
@@ -405,7 +442,7 @@ def cluster_profile(
     ]
 
 
-def assignment_csv(assignment: ClusterAssignment) -> str:
+def assignment_csv(assignment: ClusterAssignment) -> LazyText:
     """CSV rendering: entity_id,cluster_label (entity ids in sorted order)."""
     ids = sorted(assignment.labels)
     labels = np.array([assignment.labels[eid] for eid in ids], dtype=np.int64)
@@ -429,10 +466,10 @@ def profiles_json(profiles: Sequence[ClusterProfile], part_names: Sequence[str])
     """JSON-ready document for cluster profiles.
 
     Its "clusters" value is one json_rows list of per-cluster records
-    (label, members, mean_clr by part, origin_distance, ratio_means),
-    formatted for dumps_json. A non-finite value raises dumps_json's error
-    for the first one in document order. Profiles must share their ratio
-    names, and ``part_names`` must name each CLR mean once.
+    (label, members, mean_clr by part, origin_distance, ratio_means), laid
+    out for dumps_json and filled when read. A non-finite value raises
+    dumps_json's error for the first one in document order. Profiles must
+    share their ratio names, and ``part_names`` must name each CLR mean once.
     """
     if not profiles:
         return {"clusters": []}

@@ -70,7 +70,7 @@ def synthetic_table(seed: int | None = None) -> IndicatorTable:
 
 def synthetic_csv(seed: int | None = None) -> str:
     """The synthetic table rendered as canonical CSV."""
-    return serialize_table(synthetic_table(seed))
+    return str(serialize_table(synthetic_table(seed)))
 
 
 def write_synthetic_csv(path: str, seed: int | None = None) -> None:

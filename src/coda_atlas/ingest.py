@@ -16,11 +16,14 @@ every ParseError its line, column and token and raises the first one in
 row order. Both parses live in ``_cells``.
 
 All numeric output uses point decimals with 17 significant digits, which
-round-trips IEEE doubles exactly. Every report file is written by one
-writer, :func:`write_outputs`, all or none. It encodes each report once, a
-slice at a time, and with a manifest (``pipeline``, :func:`write_reports`)
-hashes the same slices, so reruns can be compared byte for byte without a
-whole encoded copy of any report in memory.
+round-trips IEEE doubles exactly. The report builders (serialize_table,
+clr_csv and those of the other stages) check their input when called and
+return a :class:`~coda_atlas._fmt.LazyText`, whose numbers are formatted
+when it is read. Every report file is written by one writer,
+:func:`write_outputs`, all or none. It reads each report once, as UTF-8
+bytes a fill block (or a str slice) at a time, and with a manifest
+(``pipeline``, :func:`write_reports`) hashes the same bytes, so reruns
+can be compared byte for byte and no report is ever whole in memory.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _cells
-from ._fmt import csv_fields, csv_line, dumps_json, fmt_rows
+from ._fmt import LazyText, csv_fields, csv_line, dumps_json, fmt_rows
 from .composition import (
     ClrMatrix,
     Entity,
@@ -238,7 +241,7 @@ class IngestConfig:
                 for unit, (canonical, factor) in self.extra_conversions.items()
             },
         }
-        return dumps_json(doc)
+        return str(dumps_json(doc))
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "IngestConfig":
@@ -333,7 +336,7 @@ def parse_table(data: bytes | str, config: IngestConfig | None = None) -> Indica
     return validate_table(raw, parts, entities)
 
 
-def serialize_table(table: IndicatorTable) -> str:
+def serialize_table(table: IndicatorTable) -> LazyText:
     """Render a table as CSV in canonical units and point-decimal notation.
 
     Values use 17 significant digits, so parse(serialize(t)) reproduces t
@@ -360,31 +363,32 @@ def table_config(table: IndicatorTable) -> IngestConfig:
     )
 
 
-def clr_csv(clr: ClrMatrix) -> str:
+def clr_csv(clr: ClrMatrix) -> LazyText:
     """CSV rendering of a CLR matrix: id column plus one column per part."""
     header = csv_line(["id", *clr.part_names])
     return header + fmt_rows(csv_fields(clr.entity_ids), clr.values)
 
 
-#: characters encoded at a time: a report is written, hashed and counted one
-#: encoded slice at a time, so no whole encoded copy of it ever exists
+#: characters of a str output encoded at a time: it is written, hashed and
+#: counted one encoded slice at a time, so no whole encoded copy of it exists
 _SLICE = 1 << 20
 
 
 def write_outputs(
-    outputs: Mapping[str, str | bytes], directory: str, manifest: bool = False
+    outputs: Mapping[str, str | bytes | LazyText], directory: str, manifest: bool = False
 ) -> list[str]:
     """Write each output to ``directory/name``, all or none; return the paths.
 
     Every output goes to a temporary file in the directory first, one at a
-    time, encoded in slices of ``_SLICE`` characters; each is created
+    time: a LazyText a fill block at a time as it is formatted, a str
+    encoded in slices of ``_SLICE`` characters. Each is created
     exclusively as the first free name of ``.name.tmp``, ``.name.1.tmp``...,
     so two writers never share one and a crashed run's is passed over. Only
     when all are written, and no name is taken by a directory (which a
     rename cannot replace), are they renamed over their names, in order. With
     ``manifest`` the outputs go in name order, followed by ``manifest.json``,
     which lists each one's name, sha256 and size in bytes, hashed from the
-    slices as they are written; the name ``manifest.json`` among the outputs
+    bytes as they are written; the name ``manifest.json`` among the outputs
     is then InvalidOptions, before anything is written.
 
     Any failure leaves the previous files as they were and no temporary
@@ -397,7 +401,7 @@ def write_outputs(
     return _write(outputs, directory, manifest)[0]
 
 
-def write_reports(outputs: Mapping[str, str | bytes], directory: str) -> dict:
+def write_reports(outputs: Mapping[str, str | bytes | LazyText], directory: str) -> dict:
     """Write report files in name order plus a manifest.json, all or none.
 
     Returns the manifest document. Writing the same outputs twice yields
@@ -407,7 +411,7 @@ def write_reports(outputs: Mapping[str, str | bytes], directory: str) -> dict:
 
 
 def _write(
-    outputs: Mapping[str, str | bytes], directory: str, manifest: bool
+    outputs: Mapping[str, str | bytes | LazyText], directory: str, manifest: bool
 ) -> tuple[list[str], dict | None]:
     """write_outputs: the paths written and the manifest document, if any."""
     if manifest:
@@ -416,7 +420,7 @@ def _write(
         import hashlib  # loads OpenSSL, milliseconds that only callers who hash pay
     staged: list[tuple[str, str]] = []
 
-    def stage(name: str, content: str | bytes, digest=None) -> int:
+    def stage(name: str, content: str | bytes | LazyText, digest=None) -> int:
         """Write content to a new temporary file; return its size in bytes."""
         for k in range(1 << 31):
             temp = os.path.join(directory, f".{name}.{k}.tmp" if k else f".{name}.tmp")
@@ -463,10 +467,13 @@ def _write(
     return [path for _, path in staged], doc
 
 
-def _encoded(content: str | bytes):
-    """content as UTF-8 bytes: a str in slices of _SLICE characters, bytes whole."""
-    if not isinstance(content, str):
+def _encoded(content: str | bytes | LazyText):
+    """content as UTF-8 bytes: a LazyText a piece or fill block at a time, a
+    str in slices of _SLICE characters, bytes whole."""
+    if isinstance(content, LazyText):
+        yield from content
+    elif isinstance(content, str):
+        for start in range(0, len(content), _SLICE):
+            yield content[start:start + _SLICE].encode("utf-8")
+    else:
         yield content
-        return
-    for start in range(0, len(content), _SLICE):
-        yield content[start:start + _SLICE].encode("utf-8")

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._fmt import fill_rows
+from ._fmt import LazyText, fill_rows
 from .biplot import BiplotModel, make_link
 from .composition import IndicatorTable, RatioDefinition, default_ratio_catalog, find_ratio
 from .errors import (
@@ -228,8 +228,8 @@ def render_biplot(
     model: BiplotModel,
     table: IndicatorTable,
     options: RenderOptions | None = None,
-) -> str:
-    """Render a rank-2 biplot as an SVG 1.1 document string.
+) -> LazyText:
+    """Render a rank-2 biplot as an SVG 1.1 document, formatted when read.
 
     Model coordinates are mapped with the y axis flipped (SVG y grows
     downward) through a single uniform-scale transform. Points carry
@@ -301,4 +301,4 @@ def render_biplot(
         ids = _escape_texts(table.entity_ids)
         blocks.append(fill_rows(_LABEL, screen_points + np.array([5.0, 3.0]), ids))
     blocks.append("</svg>\n")
-    return "".join(blocks)
+    return LazyText(*blocks)

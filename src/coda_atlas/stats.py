@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fmt import csv_fields, fmt_rows
+from ._fmt import LazyText, csv_fields, fmt_rows
 from .composition import (
     IndicatorTable,
     RatioDefinition,
@@ -207,7 +207,7 @@ def pathology_report(
     return PathologyReport(n=table.n, entries=tuple(entries))
 
 
-def describe_csv(summaries: Sequence[DescriptiveSummary]) -> str:
+def describe_csv(summaries: Sequence[DescriptiveSummary]) -> LazyText:
     """CSV rendering with columns name,n,mean,sd,min,q1,median,q3,max."""
     names = csv_fields([s.name for s in summaries])
     prefixes = [f"{name},{s.n}" for name, s in zip(names, summaries)]

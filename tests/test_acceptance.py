@@ -245,7 +245,7 @@ def test_ingestion_round_trip_and_unit_absorption():
     """parse(write(t)) is the identity and declared units wash out of the model."""
     with criterion("ingestion round-trip and unit absorption", 2.0):
         table = synthetic_table(seed=47)
-        again = parse_table(serialize_table(table))
+        again = parse_table(str(serialize_table(table)))
         assert np.array_equal(again.values, table.values)
         assert again.entity_ids == table.entity_ids
         assert again.part_names == table.part_names
@@ -257,8 +257,8 @@ def test_ingestion_round_trip_and_unit_absorption():
             in_gwh, ids=list(table.entity_ids), part_names=list(table.part_names)
         )
         config = IngestConfig(unit_map={"energy_consumption": "GWh"})
-        parsed_mwh = parse_table(serialize_table(table))
-        parsed_gwh = parse_table(serialize_table(gwh_table), config)
+        parsed_mwh = parse_table(str(serialize_table(table)))
+        parsed_gwh = parse_table(str(serialize_table(gwh_table)), config)
         model_a = fit_biplot(clr_matrix(parsed_mwh), alpha=1.0, k=2)
         model_b = fit_biplot(clr_matrix(parsed_gwh), alpha=1.0, k=2)
         assert np.allclose(model_a.points, model_b.points, atol=1e-9)

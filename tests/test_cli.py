@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from coda_atlas import IngestConfig, RatioDefinition, synthetic_csv
 from coda_atlas import ingest
 from coda_atlas.cli import main
+from coda_atlas.errors import InvalidOptions
 
 from conftest import fail_nth_open, perfbench_table_csv
 from oracles import brute_force_ranking, csv_line
@@ -683,6 +684,54 @@ class TestReportFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"InsufficientMemory:{message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("subcommand", ["cluster", "pipeline"])
+    def test_a_distance_matrix_that_does_not_fit_is_refused_before_it_is_allocated(
+        self, subcommand, table_csv, tmp_path, capsys, monkeypatch
+    ):
+        shapes = []
+        empty = np.empty
+
+        def recording_empty(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        n = 17  # the fixture's rows: its matrix needs 8 * 17 * 17 = 2312 bytes
+        monkeypatch.setattr("coda_atlas.cluster._available_memory", lambda: 8 * n * n - 1)
+        monkeypatch.setattr(np, "empty", recording_empty)
+        out_dir = tmp_path / "reports"
+        assert main([subcommand, table_csv, "-o", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = f"InsufficientMemory:clustering {n} rows needs 0.0 GiB, 0.0 GiB available\n"
+        assert captured.err == record
+        assert (n, n) not in shapes
+        assert not out_dir.exists()
+
+    def test_two_failing_reports_give_the_first_record_and_no_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # total_assets of 1e300 in row g2 overflows its standard deviation,
+        # which describe.csv's builder refuses; render_biplot, a later
+        # builder, fails as well
+        rows = [RANK_HEADER] + [
+            f"{eid},Group {eid},1011,{rev},{'1e300' if eid == 'g2' else assets},"
+            f"{'1e-300' if eid == 'g2' else liab}"
+            for eid, rev, assets, liab in RANK_ROWS
+        ]
+        table = tmp_path / "overflow.csv"
+        table.write_text("\n".join(rows) + "\n")
+
+        def refuse(*args, **kwargs):
+            raise InvalidOptions("the later report")
+
+        monkeypatch.setattr("coda_atlas.render.render_biplot", refuse)
+        out_dir = tmp_path / "reports"
+        assert main(["pipeline", str(table), "-o", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        expected = "NonFiniteStatistic:column=total_assets,statistic=sd\n"
+        assert (captured.out, captured.err) == ("", expected)
         assert not out_dir.exists()
 
 

@@ -25,10 +25,12 @@ from coda_atlas import (
 )
 from coda_atlas._fmt import dumps_json
 from coda_atlas.cli import main
+from coda_atlas import cluster
 from coda_atlas.cluster import (
     _DISTANCE_BLOCK_ROWS,
     LINKAGES,
     ClusterAssignment,
+    _available_memory,
     _block_distances,
     assignment_csv,
     merge_history_json,
@@ -39,6 +41,7 @@ from coda_atlas.errors import (
     DimensionMismatch,
     DuplicateEntityId,
     InfeasibleCut,
+    InsufficientMemory,
     InvalidOptions,
     MismatchedEntities,
     TooFewRows,
@@ -321,9 +324,9 @@ class TestOwnedMatrixPath:
             assignment = hierarchical_cluster(dist, linkage=linkage, **cut)
             profiles = cluster_profile(table, assignment)
             expected = {
-                "clusters.csv": assignment_csv(assignment),
-                "merges.json": dumps_json(merge_history_json(assignment)),
-                "cluster_profiles.json": dumps_json(profiles_json(profiles, table.part_names)),
+                "clusters.csv": str(assignment_csv(assignment)),
+                "merges.json": str(dumps_json(merge_history_json(assignment))),
+                "cluster_profiles.json": str(dumps_json(profiles_json(profiles, table.part_names))),
             }
             assert cli_outputs(text, "cluster", "--linkage", linkage, *flags) == expected
 
@@ -598,14 +601,14 @@ class TestClusterProfile:
             assert g.origin_distance == e.origin_distance
             assert g.ratio_means == e.ratio_means
         doc = per_cluster_profiles_json(expected, names)
-        assert dumps_json(profiles_json(got, names)) == per_cell_dumps_json(doc)
+        assert str(dumps_json(profiles_json(got, names))) == per_cell_dumps_json(doc)
 
 
 class TestReportRenderers:
     def test_assignment_csv_sorted_by_id(self):
         dist = distance_matrix(clr_matrix(two_triple_table()))
         got = hierarchical_cluster(dist, n_clusters=2)
-        lines = assignment_csv(got).strip().split("\n")
+        lines = str(assignment_csv(got)).strip().split("\n")
         assert lines[0] == "entity_id,cluster_label"
         assert lines[1:] == ["a1,1", "a2,1", "a3,1", "b1,2", "b2,2", "b3,2"]
 
@@ -626,7 +629,77 @@ class TestReportRenderers:
         profiles = cluster_profile(
             table, assignment, ratios=[RatioDefinition("r", "part_0", "part_2")]
         )
-        doc = json.loads(dumps_json(profiles_json(profiles, table.part_names)))
+        doc = json.loads(str(dumps_json(profiles_json(profiles, table.part_names))))
         assert [c["label"] for c in doc["clusters"]] == [1, 2]
         assert set(doc["clusters"][0]["mean_clr"]) == set(table.part_names)
         assert "r" in doc["clusters"][0]["ratio_means"]
+
+
+class TestMemoryCheck:
+    """The n x n matrix is compared with the memory available before it is made."""
+
+    @staticmethod
+    def serve(monkeypatch, files):
+        """Make cluster's ``open`` read ``files`` (path -> text); other paths are missing."""
+
+        def fake_open(path, mode="r"):
+            if path not in files:
+                raise FileNotFoundError(2, "No such file or directory", path)
+            text = files[path]
+            return io.BytesIO(text.encode()) if "b" in mode else io.StringIO(text)
+
+        monkeypatch.setattr(cluster, "open", fake_open, raising=False)
+
+    MEMINFO = "MemTotal:       8000000 kB\nMemAvailable:    7434604 kB\nCached: 1 kB\n"
+
+    @pytest.mark.parametrize(
+        "cgroup, limit, used, expected",
+        [
+            # cgroup v1 only: no "0::" line, MemAvailable decides
+            ("4:memory:/a\n1:cpu:/\n", None, None, 7434604 * 1024),
+            # cgroup v2 without a limit
+            ("0::/user.slice/a\n", "max\n", "123\n", 7434604 * 1024),
+            # cgroup v2 with a limit below MemAvailable: 2 GiB - 1 GiB + 4096
+            # bytes of inactive page cache
+            ("0::/user.slice/a\n", "2147483648\n", "1073741824\n", (1 << 30) + 4096),
+            # a limit above MemAvailable
+            ("0::/user.slice/a\n", str(64 << 30) + "\n", "0\n", 7434604 * 1024),
+        ],
+    )
+    def test_probe_reads_meminfo_and_the_cgroup_limit(
+        self, monkeypatch, cgroup, limit, used, expected
+    ):
+        files = {"/proc/meminfo": self.MEMINFO, "/proc/self/cgroup": cgroup}
+        if limit is not None:
+            files["/sys/fs/cgroup/user.slice/a/memory.max"] = limit
+            files["/sys/fs/cgroup/user.slice/a/memory.current"] = used
+            files["/sys/fs/cgroup/user.slice/a/memory.stat"] = (
+                "anon 1000\nfile 9000\nactive_file 4904\ninactive_file 4096\n"
+            )
+        self.serve(monkeypatch, files)
+        assert _available_memory() == expected
+
+    def test_no_meminfo_skips_the_check(self, monkeypatch):
+        self.serve(monkeypatch, {})
+        assert _available_memory() is None
+        assert _block_distances(np.zeros((3, 2))).shape == (3, 3)
+
+    def test_a_matrix_that_does_not_fit_is_refused_before_anything_is_allocated(
+        self, monkeypatch
+    ):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(cluster, "_available_memory", lambda: int(7.1 * 2**30))
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(InsufficientMemory) as err:
+            _block_distances(np.zeros((40_000, 2)))
+        assert err.value.record() == (
+            "InsufficientMemory:clustering 40000 rows needs 11.9 GiB, 7.1 GiB available"
+        )
+
+    def test_a_matrix_that_fits_exactly_is_computed(self, monkeypatch, rng):
+        c = rng.normal(size=(20, 3))
+        monkeypatch.setattr(cluster, "_available_memory", lambda: 8 * 20 * 20)
+        d = _block_distances(c)
+        assert d[0, 1] == np.sqrt(np.sum((c[0] - c[1]) ** 2))

@@ -42,8 +42,10 @@ from coda_atlas._fmt import (
 from coda_atlas.biplot import Link, RankingResult, model_to_json, ranking_csv
 from coda_atlas.cluster import ClusterAssignment, assignment_csv, profiles_json
 from coda_atlas.composition import ClrMatrix
-from coda_atlas.errors import DimensionMismatch, DuplicatePartName, InvalidOptions
-from coda_atlas.ingest import DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog, serialize_table
+from coda_atlas.errors import DimensionMismatch, DuplicatePartName, InvalidOptions, NonFiniteValue
+from coda_atlas.ingest import (
+    DEFAULT_PART_SCHEMA, clr_csv, default_ratio_catalog, serialize_table, write_outputs,
+)
 from coda_atlas.render import _project
 from coda_atlas.stats import DescriptiveSummary, describe_csv
 
@@ -100,7 +102,7 @@ def test_percent_g_equals_format_on_random_bit_patterns():
         ",".join([eid, *(format(x, ".17g") for x in row)]) + "\n"
         for eid, row in zip(ids, rows.tolist())
     )
-    assert fmt_rows(ids, rows) == expected
+    assert str(fmt_rows(ids, rows)) == expected
 
 
 def _rows_of(values, k):
@@ -142,7 +144,7 @@ class TestKernels:
         rounded = np.array([float(f"{m}e{k}") for m, k in zip(significands, exponents)])
         template = "%.17g" + ",%.17g" * 6 + "\n"
         for rows in (_rows_of(values, 7), _rows_of(rounded, 7)):
-            assert fill_rows(template, rows) == per_cell_fill_rows(template, rows)
+            assert str(fill_rows(template, rows)) == per_cell_fill_rows(template, rows)
 
     def test_percent_6f(self):
         rng = np.random.default_rng(8)
@@ -150,7 +152,7 @@ class TestKernels:
         ties = np.arange(-2**14, 2**14) * 2.0**-21  # exact 7th-decimal ties among them
         template = "<%.6f %.6f %.6f %.6f %.6f %.6f %.6f/>\n"
         for rows in (_rows_of(values, 7), _rows_of(ties, 7), _rows_of(ties * 1024 + 0.5e-6, 7)):
-            assert fill_rows(template, rows) == per_cell_fill_rows(template, rows)
+            assert str(fill_rows(template, rows)) == per_cell_fill_rows(template, rows)
 
     def test_percent_d_and_s_of_integers(self):
         rng = np.random.default_rng(9)
@@ -163,14 +165,14 @@ class TestKernels:
             ("%d|%d|%d\n", (small, small[::-1], small.astype(np.int16))),
             ("%d %d\n", (unsigned, unsigned[::-1])),
         ):
-            assert fill_rows(template, *columns) == per_cell_fill_rows(template, *columns)
+            assert str(fill_rows(template, *columns)) == per_cell_fill_rows(template, *columns)
 
     def test_percent_s_of_text(self):
         texts = ["", "e1", "é€", "日本", "a\ud800b", "\U0001f600", "%s%%d", '"q,1"', "x" * 300]
         column = [texts[r % len(texts)] + str(r) * (r % 3) for r in range(2000)]
         other = np.array(column[::-1], dtype=object)
         template = "[%s|%s] %d\n"
-        got = fill_rows(template, column, other, np.arange(2000))
+        got = str(fill_rows(template, column, other, np.arange(2000)))
         assert got == per_cell_fill_rows(template, column, other, np.arange(2000))
 
     @pytest.mark.parametrize("case", sorted(KERNEL_EDGES))
@@ -182,7 +184,7 @@ class TestKernels:
         template = "%.17g;%.6f,%.17g|%.6f\n"
         # a row takes 132 buffer bytes, so a block has at most ``block`` rows
         with patch.object(_fmt, "_BLOCK_BYTES", block * 132):
-            assert fill_rows(template, *columns) == per_cell_fill_rows(template, *columns)
+            assert str(fill_rows(template, *columns)) == per_cell_fill_rows(template, *columns)
 
     def test_block_boundaries_of_a_skewed_text_column(self):
         # one wide text, then short ones: blocks are cut by bytes, not rows
@@ -190,7 +192,7 @@ class TestKernels:
         values = np.random.default_rng(11).standard_normal((len(texts), 3))
         template = "%s,%.17g,%.17g,%.17g,%d\n"
         with patch.object(_fmt, "_BLOCK_BYTES", 1 << 14):
-            got = fill_rows(template, texts, values, np.arange(len(texts)))
+            got = str(fill_rows(template, texts, values, np.arange(len(texts))))
         assert got == per_cell_fill_rows(template, texts, values, np.arange(len(texts)))
 
     @pytest.mark.parametrize(
@@ -222,7 +224,7 @@ class TestKernels:
             "import sys, coda_atlas.cli, numpy as np\n"
             "from coda_atlas import _fmt\n"
             "print('coda_atlas._fill' in sys.modules)\n"
-            "_fmt.fill_rows('%.17g\\n', np.ones(3))\n"
+            "str(_fmt.fill_rows('%.17g\\n', np.ones(3)))\n"
             "from coda_atlas import _fill\n"
             "print(_fill._tables.cache_info().currsize)\n"
         )
@@ -236,7 +238,7 @@ class TestKernels:
 
         monkeypatch.setattr(os, "fork", no_fork)
         clr = _wide_clr(20_000, 32)
-        assert clr_csv(clr).count("\n") == 20_001
+        assert str(clr_csv(clr)).count("\n") == 20_001
         assert not hasattr(_fmt, "os") and not hasattr(_fill, "os")
 
     def test_a_wide_clr_csv_holds_one_block_at_a_time(self):
@@ -248,7 +250,7 @@ class TestKernels:
         clr_csv(clr)  # the lookup tables
         tracemalloc.start()
         try:
-            text = clr_csv(clr)
+            text = str(clr_csv(clr))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -275,7 +277,7 @@ class TestArrayFormatter:
             entity_ids=tuple(f"e{r}" for r in range(n)),
         )
         with patch.object(_fmt, "_BLOCK_BYTES", block):
-            assert clr_csv(clr) == per_cell_clr_csv(clr)
+            assert str(clr_csv(clr)) == per_cell_clr_csv(clr)
 
     @given(matrices(finite, max_rows=6, max_cols=4), st.data(), block_bytes)
     @settings(max_examples=200, deadline=None)
@@ -313,13 +315,13 @@ class TestArrayFormatter:
                 check_finite(view)
 
     def test_fill_rows_mixes_text_float_and_integer_columns(self):
-        text = fill_rows("%s|%.6f|%.6f|%.17g|%d%%\n", ["a%s", "b"],
+        text = str(fill_rows("%s|%.6f|%.6f|%.17g|%d%%\n", ["a%s", "b"],
                          np.array([[1.0, 2.0], [-0.0, 5.5]]), np.array([0.1, 1e300]),
-                         np.array([7, 8]))
+                         np.array([7, 8])))
         assert text == ("a%s|1.000000|2.000000|0.10000000000000001|7%\n"
                         "b|-0.000000|5.500000|1.0000000000000001e+300|8%\n")
-        assert fill_rows("%s\n", []) == ""
-        assert fmt_rows([], np.empty((0, 3))) == ""
+        assert str(fill_rows("%s\n", [])) == ""
+        assert str(fmt_rows([], np.empty((0, 3)))) == ""
 
 
 class TestCsvQuoting:
@@ -347,7 +349,7 @@ class TestDescribeCsv:
     def test_matches_per_cell(self, rows, block):
         summaries = [DescriptiveSummary(name, n, *stats) for name, n, stats in rows]
         with patch.object(_fmt, "_BLOCK_BYTES", block):
-            assert describe_csv(summaries) == per_cell_describe_csv(summaries)
+            assert str(describe_csv(summaries)) == per_cell_describe_csv(summaries)
 
     @given(
         st.lists(st.lists(finite, min_size=7, max_size=7), min_size=1, max_size=6),
@@ -377,7 +379,7 @@ class TestAssignmentCsv:
     def test_matches_per_cell(self, labels, block):
         assignment = ClusterAssignment(labels=labels, linkage="single", cut={}, merge_history=())
         with patch.object(_fmt, "_BLOCK_BYTES", block):
-            assert assignment_csv(assignment) == per_cell_assignment_csv(assignment)
+            assert str(assignment_csv(assignment)) == per_cell_assignment_csv(assignment)
 
 
 class TestSerializeTable:
@@ -397,11 +399,11 @@ class TestSerializeTable:
                     for i, lab, s in zip(ids, labels, sectors)]
         table = validate_table(values, parts, entities)
         with patch.object(_fmt, "_BLOCK_BYTES", block):
-            assert serialize_table(table) == per_cell_serialize_table(table)
+            assert str(serialize_table(table)) == per_cell_serialize_table(table)
 
     def test_fixture_matches_per_cell_csv_writer(self):
         table = synthetic_table()
-        assert serialize_table(table) == per_cell_serialize_table(table)
+        assert str(serialize_table(table)) == per_cell_serialize_table(table)
 
 
 def _ranking(scores, exact):
@@ -420,14 +422,14 @@ class TestRankingCsv:
     def test_matches_per_cell(self, pairs, block):
         result = _ranking([s for s, _ in pairs], [e for _, e in pairs])
         with patch.object(_fmt, "_BLOCK_BYTES", block):
-            assert ranking_csv(result) == per_cell_ranking_csv(result)
+            assert str(ranking_csv(result)) == per_cell_ranking_csv(result)
 
     def test_fitted_links_match_per_cell(self, rng):
         table = make_table(np.exp(rng.normal(size=(500, 6))))
         model = fit_biplot(clr_matrix(table), k=2)
         for i, j in ((0, 1), (2, 5), (4, 3)):
             result = rank_along_link(model, make_link(model, i, j))
-            assert ranking_csv(result) == per_cell_ranking_csv(result)
+            assert str(ranking_csv(result)) == per_cell_ranking_csv(result)
 
     def test_unsorted_ids_with_tied_scores_match_per_cell(self):
         # ids out of row order ("g10" < "g9" as strings), scores tied in
@@ -446,7 +448,7 @@ class TestRankingCsv:
         assert result.ordering == tuple(ids[r] for r in expected)
         assert result.ordering[:3] == ("g1", "g10", "g9")
         assert result.ordering[6:9] == ("g11", "g4", "g7")  # -0.0 ties 0.0
-        assert ranking_csv(result) == per_cell_ranking_csv(result)
+        assert str(ranking_csv(result)) == per_cell_ranking_csv(result)
 
     @pytest.mark.parametrize("bad", [(3, "score", np.nan), (0, "exact", -np.inf), (7, "score", np.inf)])
     def test_non_finite_value_gives_the_per_cell_error(self, bad):
@@ -486,7 +488,7 @@ class TestDumpsJson:
     @example(doc={"k": {"x": 0.5, "y": True}, "z": {"x": 0.5, "y": np.float64(2.0)}})
     @example(doc={"coords": [-0.0, 5e-324, 1e300], "é\n": "日\"", "k": [1, 2.5, True]})
     def test_matches_per_cell(self, doc):
-        assert dumps_json(doc) == per_cell_dumps_json(doc)
+        assert str(dumps_json(doc)) == per_cell_dumps_json(doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -508,14 +510,14 @@ class TestDumpsJson:
         profiles = cluster_profile(table, assignment)
         doc = per_cluster_profiles_json(profiles, table.part_names)
         assert len(doc["clusters"][0]["ratio_means"]) == 5
-        assert dumps_json(profiles_json(profiles, table.part_names)) == per_cell_dumps_json(doc)
+        assert str(dumps_json(profiles_json(profiles, table.part_names))) == per_cell_dumps_json(doc)
 
     def test_model_document_matches_per_cell(self, rng):
         for n, k in ((300, 3), (1500, 1), (1025, 2)):
             ids = [f"e{r}" if r % 4 else f'e{r} "\u00e9\\\n' for r in range(n)]
             table = make_table(np.exp(rng.normal(size=(n, 7))), ids=ids)
             model = fit_biplot(clr_matrix(table), k=k)
-            assert model_to_json(model) == per_cell_model_json(model)
+            assert str(model_to_json(model)) == per_cell_model_json(model)
 
     @pytest.mark.parametrize(
         "field, cell", [("points", (2, 1)), ("points", (0, 0)), ("column_means", (3,))]
@@ -608,7 +610,7 @@ class TestJsonRows:
                 value = [value] if in_list else {"rows%": value}
             return value
 
-        got = dumps_json(embed(json_rows(element, len(nesting), *columns)))
+        got = str(dumps_json(embed(json_rows(element, len(nesting), *columns))))
         assert got == per_cell_dumps_json(embed(records))
 
 
@@ -633,11 +635,11 @@ class TestClusterProfilesDocument:
         for n_clusters in (1, 4, 9):
             profiles, parts = self.profiles(n_clusters, ratios, ids, names)
             doc = per_cluster_profiles_json(profiles, parts)
-            assert dumps_json(profiles_json(profiles, parts)) == per_cell_dumps_json(doc)
+            assert str(dumps_json(profiles_json(profiles, parts))) == per_cell_dumps_json(doc)
 
     def test_empty_ratio_list_writes_an_empty_object(self):
         profiles, parts = self.profiles(3, ratios=[])
-        text = dumps_json(profiles_json(profiles, parts))
+        text = str(dumps_json(profiles_json(profiles, parts)))
         assert text.count('"ratio_means": {}') == 3
         assert text == per_cell_dumps_json(per_cluster_profiles_json(profiles, parts))
 
@@ -710,14 +712,14 @@ class TestRenderBiplot:
         names = tuple(r.name for r in default_ratio_catalog())
         options = RenderOptions(show_links=names[:links], label_points=label_points)
         with patch.object(_fmt, "_BLOCK_BYTES", block):
-            assert render_biplot(model, table, options) == per_element_svg(model, table, options)
+            assert str(render_biplot(model, table, options)) == per_element_svg(model, table, options)
 
     @pytest.mark.parametrize("label_points", [True, False])
     def test_large_table_matches_per_element(self, label_points):
         table, model = _render_case(9, 3000)
         names = tuple(r.name for r in default_ratio_catalog())
         options = RenderOptions(show_links=names, label_points=label_points, width=640)
-        assert render_biplot(model, table, options) == per_element_svg(model, table, options)
+        assert str(render_biplot(model, table, options)) == per_element_svg(model, table, options)
 
     @pytest.mark.parametrize("special", ["&", "<", ">"])
     def test_each_escaped_character_alone(self, rng, special):
@@ -725,7 +727,7 @@ class TestRenderBiplot:
         names = [f"p{d}{special}" if d == 1 else f"p{d}" for d in range(4)]
         table = make_table(np.exp(rng.normal(size=(9, 4))), ids=ids, part_names=names)
         model = fit_biplot(clr_matrix(table), k=2)
-        svg = render_biplot(model, table)
+        svg = str(render_biplot(model, table))
         assert svg == per_element_svg(model, table)
         assert svg.count(html.escape(special)) == 2
 
@@ -744,6 +746,117 @@ class TestRenderBiplot:
             show_links=(name,),
             ratio_catalog=(RatioDefinition(name, "total_assets", "total_liabilities"),),
         )
-        root = ET.fromstring(render_biplot(model, table, options))
+        root = ET.fromstring(str(render_biplot(model, table, options)))
         groups = [el for el in root.iter() if el.get("class") == "link-group"]
         assert [el.get("data-ratio") for el in groups] == [name]
+
+
+def _clr_of(values, ids=None):
+    n, k = values.shape
+    parts = tuple(Part(index=d, name=f"p{d}", unit="unitless", role="financial") for d in range(k))
+    return ClrMatrix(values=values, parts=parts,
+                     entity_ids=tuple(ids or (f"e{r:05d}" for r in range(n))))
+
+
+class TestLazyText:
+    """Builders check their input when called; the text is formatted when read."""
+
+    @staticmethod
+    def bad_reports():
+        """(builder, arguments with one non-finite value, its error) of four builders."""
+        table, model = _render_case(3, 40)
+        points = model.points.copy()
+        points[5, 1] = np.nan
+        bad_model = dataclasses.replace(model, points=points)
+        values = np.array(clr_matrix(table).values)
+        values[2, 3] = np.inf
+        scores = list(np.linspace(1.0, 0.1, 10))
+        scores[4] = -np.inf
+        return [
+            (clr_csv, (_clr_of(values),), ValueError),
+            (ranking_csv, (_ranking(scores, list(np.linspace(-1.0, 1.0, 10))),), ValueError),
+            (model_to_json, (bad_model,), ValueError),
+            (render_biplot, (bad_model, table), NonFiniteValue),
+        ]
+
+    @pytest.mark.parametrize("k", range(4), ids=["clr_csv", "ranking_csv", "model_to_json",
+                                                  "render_biplot"])
+    def test_a_non_finite_value_raises_when_the_report_is_built(self, k):
+        def no_block(*args):
+            raise AssertionError("a block was formatted")
+
+        build, args, error = self.bad_reports()[k]
+        with patch.object(_fill, "_buffer", no_block), pytest.raises(error):
+            build(*args)
+
+    def test_reading_a_report_twice_gives_the_same_bytes(self):
+        table, model = _render_case(4, 50)
+        options = RenderOptions(show_links=("solvency", "energy_intensity"))
+        with patch.object(_fmt, "_BLOCK_BYTES", 300):  # several blocks a fill
+            reports = [clr_csv(clr_matrix(table)), model_to_json(model),
+                       render_biplot(model, table, options)]
+        for report in reports:
+            first, second = list(report), list(report)
+            assert len(first) > 3
+            assert b"".join(first) == b"".join(second) == str(report).encode("utf-8")
+            assert report.encode("utf-8") == b"".join(first)
+
+    def test_a_report_of_a_writeable_array_keeps_the_values_it_was_built_from(self):
+        values = np.array([[1.5, 2.0], [3.0, -0.25]])
+        counts = np.array([1, 2])
+        clr = _clr_of(values.copy())
+        reports = [fill_rows("%.6f,%.6f|%d\n", values, counts), clr_csv(clr)]
+        expected = [str(report) for report in reports]
+        values[0] = np.nan
+        counts[1] = 7
+        clr.values[1, 1] = 0.5
+        assert [str(report) for report in reports] == expected
+        assert expected[0] == "1.500000,2.000000|1\n3.000000,-0.250000|2\n"
+
+    def test_a_read_only_array_is_not_copied(self):
+        column = np.random.default_rng(2).standard_normal(400_000)
+        str(fill_rows("%.17g\n", column[:1]))  # imports _fill and builds its tables
+        peaks = []
+        for writeable in (False, True):
+            column.setflags(write=writeable)
+            tracemalloc.start()
+            try:
+                report = fill_rows("%.17g\n", column)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del report
+        assert peaks[0] < column.nbytes / 20 < column.nbytes <= peaks[1], peaks
+
+    def test_a_lone_surrogate_is_text_and_never_written(self, tmp_path):
+        clr = _clr_of(np.array([[0.5, -0.5], [1.0, -1.0], [0.0, 0.0]]), ["a", "b\ud800", "c"])
+        report = clr_csv(clr)
+        assert str(report) == per_cell_clr_csv(clr)
+        with pytest.raises(UnicodeEncodeError) as before:  # the writer of a str
+            write_outputs({"clr.csv": per_cell_clr_csv(clr)}, str(tmp_path / "str"))
+        with pytest.raises(UnicodeEncodeError) as got:
+            write_outputs({"clr.csv": report}, str(tmp_path / "lazy"))
+        assert got.value.encoding == before.value.encoding
+        assert got.value.reason == before.value.reason
+        assert got.value.object[got.value.start:got.value.end] == "\ud800"
+        assert list((tmp_path / "lazy").iterdir()) == []
+        with pytest.raises(UnicodeEncodeError):
+            report.encode("utf-8")
+
+    def test_building_and_writing_a_wide_report_holds_less_than_the_report(self, tmp_path):
+        # at the parent commit, which returned whole str reports, clr.csv
+        # peaked at 26.9 MiB and table.csv at 29.0 MiB for ~12.4 MiB files
+        rng = np.random.default_rng(6)
+        table = make_table(np.exp(rng.standard_normal((20_000, 32))))
+        clr = clr_matrix(table)  # read-only, as validate_table's values are
+        reports = (("clr.csv", clr_csv, clr), ("table.csv", serialize_table, table))
+        for name, build, source in reports:
+            write_outputs({name: build(source)}, str(tmp_path / "warm"))
+            tracemalloc.start()
+            try:
+                write_outputs({name: build(source)}, str(tmp_path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = (tmp_path / name).stat().st_size
+            assert peak < size, (name, peak, size)

@@ -157,7 +157,7 @@ class TestSectorColors:
 class TestRenderBiplot:
     def test_document_parses_with_expected_element_counts(self):
         table, model = fitted_synthetic()
-        svg = render_biplot(model, table, RenderOptions(show_links=("solvency",)))
+        svg = str(render_biplot(model, table, RenderOptions(show_links=("solvency",))))
         by_class = elements_by_class(svg)
         assert len(by_class["point"]) == 17
         assert len(by_class["ray"]) == 8
@@ -167,20 +167,20 @@ class TestRenderBiplot:
 
     def test_rays_share_the_origin(self):
         table, model = fitted_synthetic()
-        svg = render_biplot(model, table)
+        svg = str(render_biplot(model, table))
         rays = elements_by_class(svg)["ray"]
         starts = {(r.get("x1"), r.get("y1")) for r in rays}
         assert len(starts) == 1
 
     def test_axis_labels_show_explained_percentages(self):
         table, model = fitted_synthetic()
-        svg = render_biplot(model, table)
+        svg = str(render_biplot(model, table))
         assert f"PC1 ({model.explained[0] * 100.0:.1f}%)" in svg
         assert f"PC2 ({model.explained[1] * 100.0:.1f}%)" in svg
 
     def test_point_fill_follows_sector_palette(self):
         table, model = fitted_synthetic()
-        svg = render_biplot(model, table)
+        svg = str(render_biplot(model, table))
         points = elements_by_class(svg)["point"]
         fills = [p.get("fill") for p in points]
         expected = [
@@ -190,7 +190,7 @@ class TestRenderBiplot:
 
     def test_ticks_are_perpendicular_feet_on_the_link_line(self):
         table, model = fitted_synthetic()
-        svg = render_biplot(model, table, RenderOptions(show_links=("solvency",)))
+        svg = str(render_biplot(model, table, RenderOptions(show_links=("solvency",))))
         by_class = elements_by_class(svg)
         (link,) = by_class["link"]
         a = np.array([float(link.get("x1")), float(link.get("y1"))])
@@ -209,7 +209,7 @@ class TestRenderBiplot:
     def test_rendering_is_deterministic(self):
         table, model = fitted_synthetic()
         opts = RenderOptions(show_links=("solvency", "energy_intensity"))
-        assert render_biplot(model, table, opts) == render_biplot(model, table, opts)
+        assert str(render_biplot(model, table, opts)) == str(render_biplot(model, table, opts))
 
     def test_entity_labels_are_escaped(self):
         table = make_table(
@@ -217,7 +217,7 @@ class TestRenderBiplot:
             ids=["a&b", "c<d", "e"],
         )
         model = fit_biplot(clr_matrix(table), k=2)
-        svg = render_biplot(model, table)
+        svg = str(render_biplot(model, table))
         assert "a&amp;b" in svg
         assert "c&lt;d" in svg
         labels = [el.text for el in elements_by_class(svg)["point-label"]]
@@ -225,7 +225,7 @@ class TestRenderBiplot:
 
     def test_label_points_can_be_disabled(self):
         table, model = fitted_synthetic()
-        svg = render_biplot(model, table, RenderOptions(label_points=False))
+        svg = str(render_biplot(model, table, RenderOptions(label_points=False)))
         assert "point-label" not in elements_by_class(svg)
 
     def test_rank_must_be_two(self):
@@ -266,7 +266,7 @@ class TestRenderBiplot:
     def test_points_land_inside_the_margined_box(self):
         table, model = fitted_synthetic()
         opts = RenderOptions(width=400, height=300, margin_fraction=0.1)
-        svg = render_biplot(model, table, opts)
+        svg = str(render_biplot(model, table, opts))
         pts = elements_by_class(svg)["point"]
         xs = [float(p.get("cx")) for p in pts]
         ys = [float(p.get("cy")) for p in pts]

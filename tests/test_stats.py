@@ -252,7 +252,7 @@ class TestTableSummaries:
 
     def test_csv_header_and_roundtrip(self):
         table = make_table([[1.0, 3.0], [2.0, 5.0]], part_names=["a", "b"])
-        text = describe_csv(summarize_table(table, []))
+        text = str(describe_csv(summarize_table(table, [])))
         lines = text.strip().split("\n")
         assert lines[0] == "name,n,mean,sd,min,q1,median,q3,max"
         assert len(lines) == 3
